@@ -17,11 +17,9 @@ from .cy3 import (
     cy3_ice_parts,
     cy3_rr_fit,
     cy3_rr_parts,
-    delta_derivative,
     iv_numerator,
 )
 from .dedekind import (
-    DeltaPoly,
     OrbifoldType,
     SigmaVector,
     delta,
@@ -43,8 +41,6 @@ from .exactpoly import (
     expand,
     is_gorenstein_symmetric,
     is_palindromic,
-    lp_add,
-    lp_mul,
     poly_divmod,
     poly_ext_gcd,
     poly_gcd,

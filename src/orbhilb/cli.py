@@ -2,11 +2,16 @@
 
 Subcommands: hilbert, parse, porb, dedekind, invmod, k3, fano3, cy3,
 verify, batch.  Every command takes --json for machine-readable output and
---series N to print the first N expanded coefficients of its main series.
+--series N (a positive integer) to print the first N expanded coefficients
+of its main series.
 
 Exit codes: 0 success; 1 a mathematical check failed (a structured JSON
-diagnostic naming the check and the offending residual is printed);
-2 malformed input.
+diagnostic naming the check and the offending residual is printed; this
+includes a weight of 0 mod r, a non-effective action and a broken weight
+congruence); 2 malformed input: an unknown command or flag, a missing or
+non-integer value (--curves included), --r, --period or --series below 1,
+a type 1/r(...) with r < 1, or an unparseable basket, curve, polynomial
+or batch file.
 
 JSON wire format: a Laurent polynomial is a map {"exponent": "num/den"};
 a rational function is {"num": <poly>, "den": [a1, a2, ...]} with the
@@ -19,6 +24,7 @@ import argparse
 import json
 import re
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Sequence
 
@@ -30,7 +36,6 @@ from .exactpoly import (
     LaurentPoly,
     MathCheckError,
     RationalFn,
-    SeriesExpansionError,
     expand,
     is_gorenstein_symmetric,
 )
@@ -44,20 +49,12 @@ from .hilbert import (
     variety_series,
 )
 from .icecream import p_orb, p_orb_general
-from .invmod import NotCoprimeError, build_modulus, inv_mod
+from .invmod import build_modulus, inv_mod
 
 __all__ = ["run", "main", "render", "parse_basket", "poly_to_json", "poly_from_json",
            "fn_to_json", "fn_from_json"]
 
 _BASKET_ENTRY_RE = re.compile(r"^\s*(?:(\d+)\s*[xX*]\s*)?(1\s*/\s*\d+\s*\([^)]*\))\s*$")
-
-
-class _BatchExit(Exception):
-    """Propagates the worst job exit code out of batch mode."""
-
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
 
 
 def parse_basket(text: str) -> tuple[tuple[OrbifoldType, int], ...]:
@@ -88,6 +85,14 @@ def _fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise InputError(f"expected a rational p/q, got {text!r}") from None
+
+
+def positive_int(text: str) -> int:
+    """argparse type of --r, --period and --series (argparse prints its name)."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
 
 
 # -- JSON wire format ---------------------------------------------------
@@ -126,54 +131,52 @@ def render(result: Any, fmt: str = "text") -> str:
     return str(result)
 
 
-def _series_strs(fn: RationalFn, n_coeffs: int) -> list[str]:
-    w = expand(fn, max(n_coeffs - 1, 0))
-    return [str(c) for _, c in w]
-
-
-def _emit(payload: dict[str, Any], text_lines: list[str], args) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2, default=str))
-    else:
-        for line in text_lines:
-            print(line)
-
-
-def _with_series(payload: dict, lines: list[str], fn: RationalFn, args) -> None:
-    if args.series is not None:
-        coeffs = _series_strs(fn, args.series)
-        payload["series"] = coeffs
-        lines.append("series: " + ", ".join(coeffs))
-
-
 # -- subcommand implementations ----------------------------------------
 
 
-def _cmd_hilbert(args) -> dict:
+@dataclass
+class _Result:
+    """One command's output, printed once by `run`: the --json `payload`
+    (None when the text `lines` are JSON already), the function that
+    --series expands, and a `failure` to report after printing."""
+
+    payload: dict[str, Any] | None
+    lines: list[str]
+    series: RationalFn | None = None
+    failure: Exception | None = None
+
+
+class BatchFailure(Exception):
+    """Some batch jobs failed; `code` is the worst job's exit code."""
+
+    def __init__(self, message: str, code: int):
+        super().__init__(message)
+        self.code = code
+
+
+def _porb_lines(parts, k: int) -> list[str]:
+    return [f"P_orb({part.source.label()}, {k}) x{mult} = {part.fn}" for part, mult in parts]
+
+
+def _cmd_hilbert(args) -> _Result:
     P, k, n = hilbert_ci(_int_list(args.weights), _int_list(args.degrees) if args.degrees else ())
     payload = {"fn": fn_to_json(P), "k": k, "n": n}
     lines = [f"P = {P}", f"k = {k}", f"n = {n}"]
-    _with_series(payload, lines, P, args)
-    _emit(payload, lines, args)
-    return payload
+    return _Result(payload, lines, P)
 
 
 def _variety_series(args) -> tuple[RationalFn, int, int]:
     weights = _int_list(args.weights)
     degrees = _int_list(args.degrees) if args.degrees else ()
+    record = VarietyInput(weights, degrees, k_override=args.k)
     if args.numerator:
-        num = LaurentPoly.parse(args.numerator)
-        P = RationalFn(num, weights)
+        P = RationalFn(LaurentPoly.parse(args.numerator), weights)
         if args.k is None:
             raise InputError("--k is required with an explicit --numerator")
-        k = args.k
-        n = args.n if args.n is not None else len(weights) - 1 - len(degrees)
+        k, n = args.k, record.n
     else:
-        record = VarietyInput(weights, degrees, k_override=args.k)
         P, k, n = variety_series(record)
-        if args.n is not None:
-            n = args.n
-    return P, k, n
+    return P, k, (n if args.n is None else args.n)
 
 
 def _decomposition_payload(dec, P) -> dict:
@@ -201,7 +204,7 @@ def _decomposition_payload(dec, P) -> dict:
     }
 
 
-def _cmd_parse(args) -> dict:
+def _cmd_parse(args) -> _Result:
     P, k, n = _variety_series(args)
     basket = parse_basket(args.basket) if args.basket else ()
     irregularity = LaurentPoly.parse(args.irregularity) if args.irregularity else None
@@ -211,16 +214,13 @@ def _cmd_parse(args) -> dict:
         f"P = {P}",
         f"k = {k}, n = {n}, c = {dec.c}",
         f"initial = {dec.initial}",
+        *_porb_lines(dec.orbifold_parts, k),
+        f"degree D^n = {payload['degree']}",
     ]
-    for part, mult in dec.orbifold_parts:
-        lines.append(f"P_orb({part.source.label()}, {k}) x{mult} = {part.fn}")
-    lines.append(f"degree D^n = {payload['degree']}")
-    _with_series(payload, lines, P, args)
-    _emit(payload, lines, args)
-    return payload
+    return _Result(payload, lines, P)
 
 
-def _cmd_porb(args) -> dict:
+def _cmd_porb(args) -> _Result:
     q = OrbifoldType(args.r, _int_list(args.a))
     n = args.n if args.n is not None else q.n
     part = p_orb_general(q, args.k, n) if (args.general or not q.is_isolated) else p_orb(q, args.k, n)
@@ -233,38 +233,32 @@ def _cmd_porb(args) -> dict:
     }
     lines = [f"P_orb({q.label()}, {args.k}) = {part.fn}",
              f"numerator degree = {part.numerator_degree}"]
-    _with_series(payload, lines, part.fn, args)
-    _emit(payload, lines, args)
-    return payload
+    return _Result(payload, lines, part.fn)
 
 
-def _cmd_dedekind(args) -> dict:
+def _cmd_dedekind(args) -> _Result:
     q = OrbifoldType(args.r, _int_list(args.a))
     sg = sigma(q)
     d = delta(q)
-    periodic = RationalFn(d.poly, (q.r,))
     payload = {
         "type": q.label(),
         "sigma": [str(v) for v in sg.values],
-        "delta": poly_to_json(d.poly),
+        "delta": poly_to_json(d),
     }
     lines = [
         f"sigma({q.label()}) = ({', '.join(str(v) for v in sg.values)})",
-        f"Delta = {d.poly}",
+        f"Delta = {d}",
     ]
-    _with_series(payload, lines, periodic, args)
-    _emit(payload, lines, args)
-    return payload
+    return _Result(payload, lines, RationalFn(d, (q.r,)))
 
 
-def _cmd_invmod(args) -> dict:
+def _cmd_invmod(args) -> _Result:
     if args.a_poly or args.f_poly:
         if not (args.a_poly and args.f_poly and args.period):
             raise InputError("--a-poly, --f-poly and --period must be given together")
         A = LaurentPoly.parse(args.a_poly)
         F = LaurentPoly.parse(args.f_poly)
-        r = args.period
-        B = inv_mod(A, F, args.gamma, r)
+        B = inv_mod(A, F, args.gamma, args.period)
         payload = {"A": poly_to_json(A), "F": poly_to_json(F), "gamma": args.gamma,
                    "inverse": poly_to_json(B)}
         lines = [f"InvMod({A}, {F}, {args.gamma}) = {B}"]
@@ -290,71 +284,53 @@ def _cmd_invmod(args) -> dict:
         payload["window_start"] = B.valuation
         payload["series"] = coeffs
         lines.append(f"coeffs from t^{B.valuation}: " + ", ".join(coeffs))
-    _emit(payload, lines, args)
-    return payload
+    return _Result(payload, lines)
 
 
-def _transverse_pairs(basket, n_expected: int):
+# k3 and fano3, by command: payload key and text label of the degree, the
+# canonical weight k = 2 - n, and the shape 1/r(1,...,1,a,r-a) of a point
+_TRANSVERSE = {
+    "k3": ("D2", "D^2", 0, "K3", "1/r(a,r-a)"),
+    "fano3": ("minus_K3", "-K^3", -1, "Fano", "1/r(1,a,r-a)"),
+}
+
+
+def _cmd_transverse(args) -> _Result:
+    key, label, k, kind, shape = _TRANSVERSE[args.command]
+    n = 2 - k
     pairs = []
-    for q, mult in basket:
-        if n_expected == 2:
-            if q.n != 2 or (q.a_list[0] + q.a_list[1]) % q.r != 0:
-                raise InputError(f"K3 basket entry {q.label()} must be of shape 1/r(a,r-a)")
-            pairs.extend([(q.r, q.a_list[0])] * mult)
-        else:
-            if q.n != 3 or q.a_list[0] != 1 or (q.a_list[1] + q.a_list[2]) % q.r != 0:
-                raise InputError(f"Fano basket entry {q.label()} must be of shape 1/r(1,a,r-a)")
-            pairs.extend([(q.r, q.a_list[1])] * mult)
-    return pairs
-
-
-def _cmd_k3(args) -> dict:
-    basket = parse_basket(args.basket) if args.basket else ()
-    series, dsq, dec = k3_series(args.genus, _transverse_pairs(basket, 2))
-    payload = {"genus": args.genus, "D2": str(dsq), "fn": fn_to_json(series)}
-    payload.update(_decomposition_payload(dec, series))
-    lines = [f"P = {series}", f"D^2 = {dsq}", f"initial = {dec.initial}"]
-    for part, mult in dec.orbifold_parts:
-        lines.append(f"P_orb({part.source.label()}, 0) x{mult} = {part.fn}")
-    _with_series(payload, lines, series, args)
-    _emit(payload, lines, args)
-    return payload
-
-
-def _cmd_fano3(args) -> dict:
-    basket = parse_basket(args.basket) if args.basket else ()
-    series, mk3, dec = fano3_series(args.genus, _transverse_pairs(basket, 3))
-    payload = {"genus": args.genus, "minus_K3": str(mk3), "fn": fn_to_json(series)}
-    payload.update(_decomposition_payload(dec, series))
-    lines = [f"P = {series}", f"-K^3 = {mk3}", f"initial = {dec.initial}"]
-    for part, mult in dec.orbifold_parts:
-        lines.append(f"P_orb({part.source.label()}, -1) x{mult} = {part.fn}")
-    _with_series(payload, lines, series, args)
-    _emit(payload, lines, args)
-    return payload
+    for q, mult in parse_basket(args.basket) if args.basket else ():
+        if q.n != n or q.a_list[:n - 2] != (1,) * (n - 2) or sum(q.a_list[-2:]) % q.r != 0:
+            raise InputError(f"{kind} basket entry {q.label()} must be of shape {shape}")
+        pairs.extend([(q.r, q.a_list[-2])] * mult)
+    series_fn = k3_series if args.command == "k3" else fano3_series
+    series, degree, dec = series_fn(args.genus, pairs)
+    payload = {"genus": args.genus, key: str(degree), "fn": fn_to_json(series),
+               **_decomposition_payload(dec, series)}
+    lines = [f"P = {series}", f"{label} = {degree}", f"initial = {dec.initial}",
+             *_porb_lines(dec.orbifold_parts, k)]
+    return _Result(payload, lines, series)
 
 
 def _parse_curves(text: str, with_data: bool) -> list[CurveStratum]:
+    shape = "s,a,DC[,prefactor] in rr mode" if with_data else "s,a"
     out = []
     for chunk in text.split(";"):
         if not chunk.strip():
             continue
         fields = [f.strip() for f in chunk.split(",")]
-        if with_data:
-            if len(fields) not in (3, 4):
-                raise InputError(
-                    f"curve entry {chunk!r} must be s,a,DC[,prefactor] in rr mode"
-                )
-            pref = _fraction(fields[3]) if len(fields) == 4 else Fraction(0)
-            out.append(CurveStratum(int(fields[0]), int(fields[1]), _fraction(fields[2]), pref))
-        else:
-            if len(fields) != 2:
-                raise InputError(f"curve entry {chunk!r} must be s,a")
-            out.append(CurveStratum(int(fields[0]), int(fields[1])))
+        if len(fields) not in ((3, 4) if with_data else (2,)):
+            raise InputError(f"curve entry {chunk!r} must be {shape}")
+        try:
+            s, a = int(fields[0]), int(fields[1])
+        except ValueError:
+            raise InputError(f"curve entry {chunk!r} needs integers s and a") from None
+        # rr mode: DC and the optional prefactor (the stratum defaults both to 0)
+        out.append(CurveStratum(s, a, *(_fraction(f) for f in fields[2:])))
     return out
 
 
-def _cmd_cy3(args) -> dict:
+def _cmd_cy3(args) -> _Result:
     P, k, n = _variety_series(args)
     if (k, n) != (0, 3):
         raise InputError(f"cy3 expects a Calabi-Yau 3-fold (k=0, n=3), got k={k}, n={n}")
@@ -377,9 +353,7 @@ def _cmd_cy3(args) -> dict:
             ],
             "sum_matches_input": ice.total() == P,
         }
-        lines = [f"P = {P}", f"P_I = {ice.initial}"]
-        for part, mult in ice.point_parts:
-            lines.append(f"P_orb({part.source.label()}, 0) x{mult} = {part.fn}")
+        lines = [f"P = {P}", f"P_I = {ice.initial}", *_porb_lines(ice.point_parts, 0)]
         for cp in ice.curve_parts:
             lines.append(f"curve 1/{cp.stratum.s}({cp.stratum.a},{cp.stratum.s - cp.stratum.a}): "
                          f"delta = {cp.delta_c}, A = {cp.a_part}, B = {cp.b_part}")
@@ -419,12 +393,10 @@ def _cmd_cy3(args) -> dict:
             lines.append(f"III(1/{c.s}) = {fn}")
         for c, fn in parts.part_iv:
             lines.append(f"IV(1/{c.s}) = {fn}")
-    _with_series(payload, lines, P, args)
-    _emit(payload, lines, args)
-    return payload
+    return _Result(payload, lines, P)
 
 
-def _cmd_verify(args) -> dict:
+def _cmd_verify(args) -> _Result:
     P, k, n = _variety_series(args)
     basket = parse_basket(args.basket) if args.basket else ()
     irregularity = LaurentPoly.parse(args.irregularity) if args.irregularity else None
@@ -449,14 +421,13 @@ def _cmd_verify(args) -> dict:
         payload.update(_decomposition_payload(dec, P))
         lines.append(f"initial = {dec.initial}")
         lines.append(f"degree D^n = {payload['degree']}")
-    _with_series(payload, lines, P, args)
-    _emit(payload, lines, args)
+    failure = None
     if not all(ch["ok"] for ch in checks):
-        raise MathCheckError("verification failed", check="verify")
-    return payload
+        failure = MathCheckError("verification failed", check="verify")
+    return _Result(payload, lines, P, failure)
 
 
-def _cmd_batch(args) -> dict:
+def _cmd_batch(args) -> _Result:
     try:
         with open(args.file, encoding="utf-8") as fh:
             jobs = json.load(fh)
@@ -489,10 +460,9 @@ def _cmd_batch(args) -> dict:
         code = run(argv)
         worst = max(worst, code)
         results.append({"job": i, "command": job["command"], "exit": code})
-    print(json.dumps({"jobs": results, "exit": worst}))
-    if worst:
-        raise _BatchExit(worst, f"{sum(1 for r in results if r['exit'])} batch job(s) failed")
-    return {"jobs": results}
+    failed = sum(1 for r in results if r["exit"])
+    failure = BatchFailure(f"{failed} batch job(s) failed", worst) if worst else None
+    return _Result(None, [json.dumps({"jobs": results, "exit": worst})], failure=failure)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -502,11 +472,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "decompose into ice cream parts, and verify.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--json", action="store_true", help="emit JSON")
-        p.add_argument("--series", type=int, metavar="N",
-                       help="print the first N expanded coefficients")
 
     def variety(p: argparse.ArgumentParser) -> None:
         p.add_argument("--weights", required=True, help="ambient weights a0,a1,...")
@@ -518,53 +483,47 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hilbert", help="Hilbert series of a weighted complete intersection")
     p.add_argument("--weights", required=True)
     p.add_argument("--degrees")
-    common(p)
     p.set_defaults(func=_cmd_hilbert)
 
     p = sub.add_parser("parse", help="split a Hilbert series into initial + ice cream parts")
     variety(p)
     p.add_argument("--basket", help='e.g. "5x1/2(1,1,1);1/3(1,2,2)"')
     p.add_argument("--irregularity", help="irregularity polynomial J(t)")
-    common(p)
     p.set_defaults(func=_cmd_parse)
 
     p = sub.add_parser("porb", help="single orbifold contribution")
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=positive_int, required=True)
     p.add_argument("--a", required=True, help="weights a1,...,an")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int)
     p.add_argument("--general", action="store_true",
                    help="force the generalized (noncoprime) form")
-    common(p)
     p.set_defaults(func=_cmd_porb)
 
     p = sub.add_parser("dedekind", help="Dedekind sums sigma_i and Delta")
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=positive_int, required=True)
     p.add_argument("--a", required=True)
-    common(p)
     p.set_defaults(func=_cmd_dedekind)
 
     p = sub.add_parser("invmod", help="inverse of A modulo F in a support window")
-    p.add_argument("--r", type=int, help="period (builds A, h, F from weights)")
+    p.add_argument("--r", type=positive_int, help="period (builds A, h, F from weights)")
     p.add_argument("--a", help="weights a1,...,an")
     p.add_argument("--gamma", type=int, default=0, help="window start (default 0)")
     p.add_argument("--a-poly", help="explicit A polynomial")
     p.add_argument("--f-poly", help="explicit F polynomial")
-    p.add_argument("--period", type=int, help="r with t^r == 1 mod F (explicit mode)")
-    common(p)
+    p.add_argument("--period", type=positive_int,
+                   help="r with t^r == 1 mod F (explicit mode)")
     p.set_defaults(func=_cmd_invmod)
 
     p = sub.add_parser("k3", help="polarized K3 surface series from genus and basket")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--basket", help='e.g. "1/2(1,1);1/3(1,2)"')
-    common(p)
-    p.set_defaults(func=_cmd_k3)
+    p.set_defaults(func=_cmd_transverse)
 
     p = sub.add_parser("fano3", help="Q-Fano 3-fold anticanonical series")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--basket", help='e.g. "1/2(1,1,1);1/3(1,1,2)"')
-    common(p)
-    p.set_defaults(func=_cmd_fano3)
+    p.set_defaults(func=_cmd_transverse)
 
     p = sub.add_parser("cy3", help="Calabi-Yau 3-fold decompositions with curve strata")
     variety(p)
@@ -573,25 +532,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("ice", "rr"), default="ice")
     p.add_argument("--dc2", help="D.c2 (rr mode; fitted from the series if omitted)")
     p.add_argument("--d3", help="D^3 (rr mode; fitted from the series if omitted)")
-    common(p)
     p.set_defaults(func=_cmd_cy3)
 
     p = sub.add_parser("verify", help="check Gorenstein symmetry and basket consistency")
     variety(p)
     p.add_argument("--basket")
     p.add_argument("--irregularity")
-    common(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("batch", help="run a JSON file of job specs")
     p.add_argument("file")
-    common(p)
     p.set_defaults(func=_cmd_batch)
 
+    for p in sub.choices.values():  # after each command's own flags, as in its usage line
+        p.add_argument("--json", action="store_true", help="emit JSON")
+        p.add_argument("--series", type=positive_int, metavar="N",
+                       help="print the first N expanded coefficients")
     return parser
 
 
-def _diagnostic(exc: Exception) -> dict[str, Any]:
+def _report(exc: Exception) -> int:
+    """Print the JSON diagnostic of a failure on stderr; return its exit code."""
     d: dict[str, Any] = {"error": str(exc), "type": type(exc).__name__}
     check = getattr(exc, "check", None)
     if check:
@@ -601,33 +562,31 @@ def _diagnostic(exc: Exception) -> dict[str, Any]:
         d["residual"] = poly_to_json(residual)
     elif isinstance(residual, RationalFn):
         d["residual"] = fn_to_json(residual)
-    return d
+    print(json.dumps(d), file=sys.stderr)
+    if isinstance(exc, BatchFailure):
+        return exc.code
+    return 2 if isinstance(exc, InputError) else 1
 
 
 def run(argv: Sequence[str] | None = None) -> int:
     """Dispatch a command line; returns the exit status (0/1/2)."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        args.func(args)
-        return 0
-    except _BatchExit as exc:
-        print(json.dumps({"error": str(exc), "type": "BatchFailure"}), file=sys.stderr)
-        return exc.code
-    except InputError as exc:
-        print(json.dumps({"error": str(exc), "type": "InputError"}), file=sys.stderr)
-        return 2
-    except (MathCheckError, NotCoprimeError, SeriesExpansionError, ZeroDivisionError) as exc:
-        print(json.dumps(_diagnostic(exc)), file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        # semantic violations (bad weight congruence, invalid type data):
-        # mathematical failures, not parse errors
-        print(json.dumps(_diagnostic(exc)), file=sys.stderr)
-        return 1
+        res = args.func(args)
+        if args.series is not None and res.series is not None:
+            coeffs = [str(c) for _, c in expand(res.series, args.series - 1)]
+            res.payload["series"] = coeffs
+            res.lines.append("series: " + ", ".join(coeffs))
+    # ValueError covers InputError, NotCoprimeError, SeriesExpansionError and
+    # the semantic violations (bad weight congruence, invalid type data)
+    except (MathCheckError, ValueError, ZeroDivisionError) as exc:
+        return _report(exc)
+    json_doc = args.json and res.payload is not None
+    print(render(res.payload, "json") if json_doc else "\n".join(res.lines))
+    return _report(res.failure) if res.failure else 0
 
 
 def main() -> None:

@@ -38,7 +38,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .dedekind import DeltaPoly, OrbifoldType, delta, sigma
+from .dedekind import OrbifoldType, delta, sigma
 from .exactpoly import (
     DenomSpec,
     LaurentPoly,
@@ -63,7 +63,6 @@ __all__ = [
     "cy3_rr_parts",
     "cy3_rr_fit",
     "cy3_ice_parts",
-    "delta_derivative",
     "iv_numerator",
 ]
 
@@ -120,11 +119,6 @@ class CY3Parts:
         return out
 
 
-def delta_derivative(d: DeltaPoly) -> LaurentPoly:
-    """Formal derivative of the Dedekind sum polynomial."""
-    return d.poly.derivative()
-
-
 def iv_numerator(s: int, a: int) -> LaurentPoly:
     """The part-IV numerator B, supported in [1, s-1], determined by
 
@@ -152,7 +146,7 @@ def _part_i(dc2: Fraction, d3: Fraction) -> RationalFn:
 
 def _part_iii(curve: CurveStratum) -> RationalFn:
     q = curve.transverse_type
-    d = delta(q).poly
+    d = delta(q)
     s = curve.s
     s0 = sigma(q)[0]
     growth = RationalFn(d.shift(s) * s, (s, s)) + RationalFn(d.derivative().shift(1), (s,))
@@ -183,7 +177,7 @@ def cy3_rr_parts(
     """
     entries = _check_points(points)
     part_ii = tuple(
-        (q, mult, RationalFn(delta(q).poly, (q.r,))) for q, mult in entries
+        (q, mult, RationalFn(delta(q), (q.r,))) for q, mult in entries
     )
     part_iii = tuple((c, _part_iii(c)) for c in curves)
     part_iv = tuple(
@@ -254,7 +248,7 @@ def cy3_rr_fit(
     entries = _check_points(points)
     base = RationalFn(LaurentPoly.term(1), ())
     for q, mult in entries:
-        base = base + RationalFn(delta(q).poly, (q.r,)) * mult
+        base = base + RationalFn(delta(q), (q.r,)) * mult
     for c in curves:
         base = base + _part_iii(c)
     residual = P - base

@@ -29,7 +29,6 @@ from .invmod import build_modulus, integer_inverse, inv_mod
 __all__ = [
     "OrbifoldType",
     "SigmaVector",
-    "DeltaPoly",
     "delta",
     "sigma",
     "sigma_surface_closed",
@@ -96,6 +95,8 @@ class OrbifoldType:
         if not m:
             raise InputError(f"cannot parse orbifold type: {text!r}")
         r = int(m.group(1))
+        if r < 1:
+            raise InputError(f"orbifold type {text!r} needs r >= 1")
         body = m.group(2).strip()
         a_list = tuple(int(x) for x in body.split(",")) if body else ()
         return cls(r, a_list)
@@ -124,30 +125,22 @@ class SigmaVector:
         return iter(self.values)
 
 
-@dataclass(frozen=True)
-class DeltaPoly:
-    """Dedekind sum polynomial with support in [1, r]; coeff(t^i) = sigma_(r-i)."""
-
-    poly: LaurentPoly
-    r: int
-
-
 @lru_cache(maxsize=1024)
-def delta(Q: OrbifoldType) -> DeltaPoly:
-    """Dedekind sum polynomial Delta = h t * InvMod(h t A, F, 0)."""
+def delta(Q: OrbifoldType) -> LaurentPoly:
+    """Dedekind sum polynomial Delta = h t * InvMod(h t A, F, 0), support in [1, r]."""
     if Q.r == 1:
-        return DeltaPoly(LaurentPoly(), 1)
+        return LaurentPoly()
     md = build_modulus(Q.r, Q.a_list)
     ht = md.h.shift(1)
     inner = inv_mod(ht * md.A, md.F, 0, Q.r)
-    return DeltaPoly(ht * inner, Q.r)
+    return ht * inner
 
 
 def sigma(Q: OrbifoldType) -> SigmaVector:
     """Dedekind sums read off from Delta: sigma_(r-i) is the coeff of t^i."""
     d = delta(Q)
     r = Q.r
-    values = [d.poly.coeff(r - i if i else r) for i in range(r)]
+    values = [d.coeff(r - i if i else r) for i in range(r)]
     return SigmaVector(r, values)
 
 

@@ -39,8 +39,6 @@ __all__ = [
     "MathCheckError",
     "SeriesExpansionError",
     "InputError",
-    "lp_add",
-    "lp_mul",
     "poly_divmod",
     "exact_div",
     "divides",
@@ -346,16 +344,6 @@ class LaurentPoly:
 
 _ZERO = LaurentPoly()
 _ONE = LaurentPoly.term(1)
-
-
-def lp_add(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Coefficientwise sum; zero terms are dropped."""
-    return a + b
-
-
-def lp_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Convolution product."""
-    return a * b
 
 
 def poly_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:

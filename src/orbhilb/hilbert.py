@@ -364,77 +364,62 @@ def _periodic_loss(r: int, a: int) -> RationalFn:
     return RationalFn(LaurentPoly(terms), (r,))
 
 
-def _check_transverse_pairs(basket: Sequence[tuple[int, int]]) -> None:
+def _transverse_series(
+    g: int, basket: Sequence[tuple[int, int]], n: int, check: str
+) -> tuple[RationalFn, Fraction, Decomposition]:
+    """Riemann-Roch series of genus g, canonical weight k = 2 - n, with
+    points (r, a) of type (1/r)(1,...,1, a, r-a) (n weights):
+
+        P = (1+t)/(1-t)^(n-1) + (D^n/2)(t+t^2)/(1-t)^(n+1)
+            - sum of periodic loss terms / (1-t)^(n-2),
+
+    D^n = 2g - 2 + sum b(r-b)/r (b the inverse of a mod r).  Returns P,
+    D^n and the ice cream parse, whose initial numerator must be the genus
+    formula 1 + (g-2)(t + t^2) + t^3 (else the named check fails).
+    """
     for r, a in basket:
         if r < 2 or not 0 < a % r or gcd(a, r) != 1:
             raise ValueError(f"basket entry ({r},{a}) must have 0 < a and gcd(a,r) = 1")
+    degree = Fraction(2 * g - 2)
+    for r, a in basket:
+        b = integer_inverse(a, r)
+        degree += Fraction(b * (r - b), r)
+    series = RationalFn(LaurentPoly({0: 1, 1: 1}), (1,) * (n - 1))
+    series = series + RationalFn(LaurentPoly({1: 1, 2: 1}), (1,) * (n + 1)) * (degree / 2)
+    for r, a in basket:
+        loss = _periodic_loss(r, a)
+        series = series - RationalFn(loss.num, loss.den.plus((1,) * (n - 2)))
+    types = [(OrbifoldType(r, (1,) * (n - 2) + (a, r - a)), 1) for r, a in basket]
+    dec = parse_main(series, n=n, k=2 - n, basket=types)
+    expected = LaurentPoly({0: 1, 1: g - 2, 2: g - 2, 3: 1})
+    if dec.initial_numerator != expected:
+        kind = "K3" if n == 2 else "Fano"
+        raise MathCheckError(
+            f"{kind} initial part {dec.initial_numerator} does not match genus formula",
+            check=check,
+            residual=dec.initial_numerator,
+        )
+    return series, degree, dec
 
 
 def k3_series(
     g: int, basket: Sequence[tuple[int, int]] = ()
 ) -> tuple[RationalFn, Fraction, Decomposition]:
-    """Hilbert series of a polarized K3 surface with basket of (r, a) points.
-
-    Each entry (r, a) is a cyclic point of type (1/r)(a, r-a).  Returns the
-    series assembled from surface Riemann-Roch,
-
-        P = (1+t)/(1-t) + (D^2/2)(t+t^2)/(1-t)^3 - periodic loss terms,
-
-    together with D^2 = 2g - 2 + sum b(r-b)/r (b the inverse of a mod r)
-    and the ice cream parse, which is verified to agree exactly.
-    """
+    """Hilbert series of a polarized K3 surface (n = 2, k = 0) with basket
+    of (r, a) points of type (1/r)(a, r-a): returns P, D^2 and the verified
+    ice cream parse (see `_transverse_series`)."""
     if g < -1:
         raise ValueError("genus must be >= -1")
-    _check_transverse_pairs(basket)
-    dsq = Fraction(2 * g - 2)
-    for r, a in basket:
-        b = integer_inverse(a, r)
-        dsq += Fraction(b * (r - b), r)
-    series = RationalFn(LaurentPoly({0: 1, 1: 1}), (1,))
-    series = series + RationalFn(LaurentPoly({1: 1, 2: 1}), (1, 1, 1)) * (dsq / 2)
-    for r, a in basket:
-        series = series - _periodic_loss(r, a)
-    types = [(OrbifoldType(r, (a, r - a)), 1) for r, a in basket]
-    dec = parse_main(series, n=2, k=0, basket=types)
-    expected = LaurentPoly({0: 1, 1: g - 2, 2: g - 2, 3: 1})
-    if dec.initial_numerator != expected:
-        raise MathCheckError(
-            f"K3 initial part {dec.initial_numerator} does not match genus formula",
-            check="k3_initial",
-            residual=dec.initial_numerator,
-        )
-    return series, dsq, dec
+    return _transverse_series(g, basket, 2, "k3_initial")
 
 
 def fano3_series(
     g: int, basket: Sequence[tuple[int, int]] = ()
 ) -> tuple[RationalFn, Fraction, Decomposition]:
-    """Anticanonical Hilbert series of a Q-Fano 3-fold with terminal basket.
-
-    Entries (r, a) are points of type (1/r)(1, a, r-a); the canonical
-    weight is -1.  Returns the Riemann-Roch series, -K^3 = 2g - 2 +
-    sum b(r-b)/r, and the verified ice cream parse; h^0(-K) = g + 2 is
-    checked on the t coefficient.
-    """
-    _check_transverse_pairs(basket)
-    minus_k3 = Fraction(2 * g - 2)
-    for r, a in basket:
-        b = integer_inverse(a, r)
-        minus_k3 += Fraction(b * (r - b), r)
-    series = RationalFn(LaurentPoly({0: 1, 1: 1}), (1, 1))
-    series = series + RationalFn(LaurentPoly({1: 1, 2: 1}), (1, 1, 1, 1)) * (minus_k3 / 2)
-    for r, a in basket:
-        loss = _periodic_loss(r, a)
-        series = series - RationalFn(loss.num, loss.den.plus((1,)))
-    types = [(OrbifoldType(r, (1, a, r - a)), 1) for r, a in basket]
-    dec = parse_main(series, n=3, k=-1, basket=types)
-    expected = LaurentPoly({0: 1, 1: g - 2, 2: g - 2, 3: 1})
-    if dec.initial_numerator != expected:
-        raise MathCheckError(
-            f"Fano initial part {dec.initial_numerator} does not match genus formula",
-            check="fano_initial",
-            residual=dec.initial_numerator,
-        )
+    """Anticanonical Hilbert series of a Q-Fano 3-fold (n = 3, k = -1) with
+    terminal basket of points (1/r)(1, a, r-a): returns P, -K^3 and the
+    verified parse; h^0(-K) = g + 2 is checked on the t coefficient."""
+    series, minus_k3, dec = _transverse_series(g, basket, 3, "fano_initial")
     p1 = expand(series, 1).coeff(1)
     if p1 != g + 2:
         raise MathCheckError(

@@ -268,3 +268,65 @@ class TestExitCodes:
         assert code == 1
         diag = json.loads(capsys.readouterr().err)
         assert diag["type"] != "InputError"
+
+
+class TestMalformedInputExit2:
+    """Malformed input exits 2 with nothing on stdout; semantic type
+    violations in well-formed input stay mathematical failures (exit 1)."""
+
+    X40 = ["cy3", "--weights", "2,5,8,10,15", "--degrees", "40", "--points", "1/15(2,5,8)"]
+    X10 = ["--weights", "1,1,2,2,3", "--degrees", "10"]
+
+    def assert_malformed(self, capsys, argv):
+        assert run(argv) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_curves_non_integer_s(self, capsys):
+        self.assert_malformed(capsys, self.X40 + ["--curves", "x,1;5,2"])
+
+    def test_curves_non_integer_a(self, capsys):
+        self.assert_malformed(capsys, self.X40 + ["--curves", "2,1;5,x"])
+
+    def test_curves_non_integer_rr_mode(self, capsys):
+        self.assert_malformed(capsys, self.X40 + ["--curves", "2,1.5,1/2", "--mode", "rr"])
+
+    def test_r_below_one(self, capsys):
+        self.assert_malformed(capsys, ["dedekind", "--r", "0", "--a", "1,2"])
+        self.assert_malformed(capsys, ["porb", "--r", "-3", "--a", "1", "--k", "0"])
+        self.assert_malformed(capsys, ["invmod", "--r", "0", "--a", "1"])
+
+    def test_period_below_one(self, capsys):
+        self.assert_malformed(capsys, ["invmod", "--a-poly", "1+t", "--f-poly", "1+t+t^2",
+                                       "--period", "0"])
+
+    def test_basket_entry_r_below_one(self, capsys):
+        self.assert_malformed(capsys, ["parse", *self.X10, "--basket", "1/0(1)"])
+        self.assert_malformed(capsys, ["k3", "--genus", "2", "--basket", "1/0(1,1)"])
+        self.assert_malformed(capsys, self.X40[:-1] + ["1/0(1)"])
+
+    @pytest.mark.parametrize("n", ["0", "-3", "x"])
+    @pytest.mark.parametrize("argv", [
+        ["hilbert", "--weights", "1,1,2,2,3", "--degrees", "10"],
+        ["k3", "--genus", "2", "--basket", "1/2(1,1)"],
+        ["dedekind", "--r", "7", "--a", "5"],
+        ["invmod", "--r", "7", "--a", "5"],
+    ], ids=["hilbert", "k3", "dedekind", "invmod"])
+    def test_series_must_be_positive(self, capsys, argv, n):
+        self.assert_malformed(capsys, argv + ["--series", n])
+
+    def test_series_one_prints_one_coefficient(self, capsys):
+        code, payload = run_json(capsys, ["hilbert", *self.X10, "--series", "1"])
+        assert code == 0
+        assert payload["series"] == ["1"]
+
+    def test_weight_zero_mod_r_exit_1(self, capsys):
+        assert run(["dedekind", "--r", "7", "--a", "7"]) == 1
+        assert json.loads(capsys.readouterr().err)["type"] == "ValueError"
+
+    def test_non_effective_action_exit_1(self, capsys):
+        assert run(["dedekind", "--r", "4", "--a", "2"]) == 1
+        assert json.loads(capsys.readouterr().err)["type"] == "ValueError"
+
+    def test_broken_weight_congruence_exit_1(self, capsys):
+        assert run(["porb", "--r", "7", "--a", "5", "--k", "1"]) == 1
+        assert "congruence" in json.loads(capsys.readouterr().err)["error"]

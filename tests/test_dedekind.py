@@ -7,6 +7,7 @@ from math import gcd
 import pytest
 
 from orbhilb import (
+    InputError,
     LaurentPoly,
     OrbifoldType,
     build_modulus,
@@ -47,10 +48,18 @@ class TestOrbifoldType:
         q = OrbifoldType.parse("1/15(2,5,8)")
         assert (q.r, q.a_list) == (15, (2, 5, 8))
 
+    def test_parse_rejects_r_zero_as_malformed(self):
+        with pytest.raises(InputError):
+            OrbifoldType.parse("1/0(1)")
+        # a well-formed type with a zero weight is a semantic error, not malformed
+        with pytest.raises(ValueError) as info:
+            OrbifoldType.parse("1/7(7)")
+        assert not isinstance(info.value, InputError)
+
 
 class TestDelta:
     def test_x40_value(self):
-        got = delta(OrbifoldType(15, (2, 5, 8))).poly
+        got = delta(OrbifoldType(15, (2, 5, 8)))
         ninth = F(1, 9)
         expect = LP(
             {1: ninth, 2: 2 * ninth, 4: ninth, 5: -ninth, 7: -2 * ninth,
@@ -60,19 +69,19 @@ class TestDelta:
 
     def test_one_seventh_five(self):
         # support-[1,7] refold of (1/7)(3 - 3t^2 + t^3 - 2t^4 + 2t^5 - t^6)
-        got = delta(OrbifoldType(7, (5,))).poly
+        got = delta(OrbifoldType(7, (5,)))
         s = F(1, 7)
         expect = LP({2: -3 * s, 3: s, 4: -2 * s, 5: 2 * s, 6: -s, 7: 3 * s})
         assert got == expect
 
     def test_trivial(self):
-        assert delta(OrbifoldType(1, ())).poly.is_zero
+        assert delta(OrbifoldType(1, ())).is_zero
 
     def test_support_in_1_r(self):
         rng = random.Random(5)
         for _ in range(30):
             q = random_effective_type(rng, 25)
-            d = delta(q).poly
+            d = delta(q)
             if not d.is_zero:
                 assert 1 <= d.valuation and d.degree <= q.r
 
@@ -103,7 +112,7 @@ class TestDefiningCongruence:
         for _ in range(200):
             q = random_effective_type(rng, 40)
             md = build_modulus(q.r, q.a_list)
-            d = delta(q).poly
+            d = delta(q)
             if md.d == 0:
                 assert d.is_zero
                 continue
@@ -114,7 +123,7 @@ class TestDefiningCongruence:
         for _ in range(60):
             q = random_effective_type(rng, 30)
             md = build_modulus(q.r, q.a_list)
-            d = delta(q).poly
+            d = delta(q)
             if not d.is_zero:
                 assert divides(md.h, d)
 

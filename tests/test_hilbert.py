@@ -1,5 +1,6 @@
 """Main Theorem parse, plurigenera reconstruction, K3 and Fano closed forms."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from orbhilb import (
     Decomposition,
     DecompositionError,
     LaurentPoly,
+    MathCheckError,
     OrbifoldType,
     RationalFn,
     SeriesWindow,
@@ -27,6 +29,7 @@ from orbhilb import (
     parse_main,
     variety_series,
 )
+from orbhilb import hilbert
 from conftest import compatible_weight, random_isolated_type
 
 LP = LaurentPoly
@@ -272,6 +275,28 @@ class TestFano3Series:
     def test_h0_minus_k(self):
         series, _, _ = fano3_series(4, [(3, 1), (2, 1)])
         assert expand(series, 1).coeff(1) == 6
+
+
+class TestK3FanoChecks:
+    def test_genus_guard_is_k3_only(self):
+        with pytest.raises(ValueError, match="genus must be >= -1"):
+            k3_series(-2)
+        _, mk3, _ = fano3_series(-2)
+        assert mk3 == -6
+
+    @pytest.mark.parametrize("series_fn,check", [(k3_series, "k3_initial"),
+                                                  (fano3_series, "fano_initial")])
+    def test_initial_check_name(self, monkeypatch, series_fn, check):
+        real = hilbert.parse_main
+
+        def doubled_initial(*args, **kwargs):
+            dec = real(*args, **kwargs)
+            return dataclasses.replace(dec, initial=dec.initial * 2)
+
+        monkeypatch.setattr(hilbert, "parse_main", doubled_initial)
+        with pytest.raises(MathCheckError) as info:
+            series_fn(2, [(2, 1)])
+        assert info.value.check == check
 
 
 class TestDegree:
