@@ -26,6 +26,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Any, Sequence
 
 from .cy3 import CurveStratum, cy3_ice_parts, cy3_rr_fit, cy3_rr_parts
@@ -465,7 +466,10 @@ def _cmd_batch(args) -> _Result:
     return _Result(None, [json.dumps({"jobs": results, "exit": worst})], failure=failure)
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    # building the parser costs more than most commands take to run, so it is
+    # built on first use (not at import) and shared by later calls and batch jobs
     parser = argparse.ArgumentParser(
         prog="orbhilb",
         description="Exact Hilbert series of polarized orbifolds: compute, "

@@ -24,6 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Iterable, Iterator, Mapping, Union
 
 Rational = Fraction
@@ -370,6 +371,21 @@ def poly_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPol
     return LaurentPoly(q), LaurentPoly(r)
 
 
+def _div_one_minus(p: list, e: int) -> list | None:
+    """p / (1 - t^e) on a coefficient list, by a stride-e running sum.
+
+    Returns None when 1 - t^e does not divide p.
+    """
+    n = max(len(p) - e, 0)
+    q = p[:n]
+    for k in range(e, n):
+        q[k] += q[k - e]
+    for k in range(n, len(p)):
+        if p[k] + (q[k - e] if k >= e else 0):
+            return None
+    return q
+
+
 def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """Exact division of Laurent polynomials; raises if b does not divide a."""
     if b.is_zero:
@@ -377,6 +393,23 @@ def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     if a.is_zero:
         return a
     va, vb = a.valuation, b.valuation
+    if len(b._terms) == 2:
+        e = b.degree - vb
+        c = b._terms[vb]
+        if b._terms[vb + e] == -c:
+            # b = c t^vb (1 - t^e): a running sum on integers scaled by the
+            # common denominator of a
+            den = lcm(*(x.denominator for x in a._terms.values()))
+            p = [0] * (a.degree - va + 1)
+            for k, x in a._terms.items():
+                p[k - va] = x.numerator * (den // x.denominator)
+            q = _div_one_minus(p, e)
+            if q is None:
+                raise ExactDivisionError(f"({b}) does not divide ({a})")
+            scale = c * den
+            return LaurentPoly(
+                {va - vb + i: Fraction(x) / scale for i, x in enumerate(q) if x}
+            )
     q, r = poly_divmod(a.shift(-va), b.shift(-vb))
     if not r.is_zero:
         raise ExactDivisionError(f"({b}) does not divide ({a})")

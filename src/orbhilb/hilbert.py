@@ -30,6 +30,7 @@ from .dedekind import OrbifoldType
 from .exactpoly import (
     DenomSpec,
     ExactDivisionError,
+    InputError,
     LaurentPoly,
     MathCheckError,
     RationalFn,
@@ -147,12 +148,12 @@ def hilbert_ci(
     weights = tuple(int(a) for a in weights)
     degrees = tuple(int(d) for d in degrees)
     if not weights or any(a < 1 for a in weights):
-        raise ValueError("weights must be a nonempty list of positive integers")
+        raise InputError("weights must be a nonempty list of positive integers")
     if any(d < 1 for d in degrees):
-        raise ValueError("degrees must be positive integers")
+        raise InputError("degrees must be positive integers")
     n = len(weights) - 1 - len(degrees)
     if n < 1:
-        raise ValueError(f"dimension n = {n} must be >= 1")
+        raise InputError(f"dimension n = {n} must be >= 1")
     num = LaurentPoly.term(1)
     for d in degrees:
         num = num * LaurentPoly.one_minus(d)

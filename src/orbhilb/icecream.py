@@ -15,6 +15,14 @@ coprime) the generalized form divides each factor by 1 - t^(s_i) instead
 of 1 - t and puts 1 - t^(s_i) factors into the denominator; the support
 window is centred so that the numerator is palindromic of degree
 k + r + sum(s_i).
+
+The numerator is computed over the integers modulo 1 - t^r: the inverse
+of each factor (1-t^a)/(1-t^s) is a geometric sum in t^a, multiplied in
+by a sliding sum in O(r), and the product is folded once into its window
+modulo F = (1-t^r)/h by multiplying by h, reducing exponents modulo r and
+dividing exactly by h.  No Euclidean algorithm and no Fraction arithmetic
+is involved; only the integrality, palindromy and support checks see a
+LaurentPoly.
 """
 
 from __future__ import annotations
@@ -30,9 +38,8 @@ from .exactpoly import (
     RationalFn,
     exact_div,
     is_palindromic,
-    reduce_to_window,
 )
-from .invmod import build_modulus, integer_inverse
+from .invmod import _cofactor, _fold_to_window, _times_geometric, integer_inverse
 
 __all__ = ["OrbifoldPart", "p_orb", "p_orb_general", "porb_minus_dedekind"]
 
@@ -120,19 +127,19 @@ def p_orb_general(Q: OrbifoldType, k: int, n: int | None = None) -> OrbifoldPart
                 raise ValueError(
                     f"{Q}: transverse periods {s_list} are not pairwise coprime"
                 )
-    md = build_modulus(Q.r, Q.a_list)
+    h = _cofactor(Q.r, Q.a_list)
+    d = Q.r - (len(h) - 1)
     sym_deg = k + Q.r + sum(s_list)
-    gamma = _ceil_half(sym_deg - md.d + 1)
+    gamma = _ceil_half(sym_deg - d + 1)
     # the inverse of prod (1-t^a)/(1-t^s) modulo F in closed form: each
     # factor inverts to the geometric sum (1-t^(a*b'))/(1-t^a) where b' is
-    # the integer inverse of a/s modulo r/s; fold after each product to
-    # keep degrees below deg F
-    inv = LaurentPoly.term(1)
+    # the integer inverse of a/s modulo r/s.  The sums are multiplied as
+    # integer vectors modulo 1 - t^r, which F divides, and the product is
+    # folded into [gamma, gamma + d - 1] once, at the end
+    inv = [1] + [0] * (Q.r - 1)
     for a, s in zip(Q.a_list, s_list):
-        b = integer_inverse(a // s, Q.r // s)
-        geom = LaurentPoly({a * j: 1 for j in range(b)})
-        inv = reduce_to_window(inv * geom, md.F, 0, period=Q.r)
-    B = reduce_to_window(inv, md.F, gamma, period=Q.r)
+        inv = _times_geometric(inv, a, integer_inverse(a // s, Q.r // s))
+    B = _fold_to_window(inv, h, gamma)
     if not B.is_integral:
         raise MathCheckError(
             f"ice cream numerator of {Q} is not integral", check="integrality", residual=B
@@ -166,6 +173,10 @@ def porb_minus_dedekind(Q: OrbifoldType, k: int, n: int | None = None) -> Ration
     sg = sigma(Q)
     r = Q.r
     periodic = LaurentPoly({i: sg[r - i] - sg[0] for i in range(1, r)})
-    one_minus_t_n = LaurentPoly.one_minus(1) ** n
-    C = exact_div(part.numerator - one_minus_t_n * periodic, LaurentPoly.geometric(r))
+    one_minus_t = LaurentPoly.one_minus(1)
+    # divide by (1-t^r)/(1-t) as a product with 1-t and a quotient by the
+    # binomial 1-t^r, which exact_div takes by a running sum
+    C = exact_div(
+        (part.numerator - one_minus_t**n * periodic) * one_minus_t, LaurentPoly.one_minus(r)
+    )
     return RationalFn(C, (1,) * (n + 1))

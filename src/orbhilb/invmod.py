@@ -8,22 +8,36 @@ F is monic with simple roots exactly at the r-th roots of unity where A
 does not vanish, so A is invertible modulo F.  Because any d = deg F
 consecutive Laurent monomials form a basis of Q[t]/(F), the inverse has a
 unique representative supported in [gamma, gamma + d - 1] for every
-integer gamma; `inv_mod` computes it by the extended Euclidean algorithm.
-Negative gamma is handled by multiplying through by t^(m*r), which is 1
-modulo F.
+integer gamma.
+
+`build_modulus` needs no gcd.  With g_j = gcd(a_j, r), h is (up to sign)
+lcm_j(1 - t^(g_j)), the product of the cyclotomic factors Phi_e of
+1 - t^r with e dividing some g_j.  Inclusion-exclusion over the gcds of
+the g_j writes it as prod_e (1 - t^e)^(c_e), so h and F are built on
+integer coefficient lists by multiplying by binomials and dividing exactly
+by stride-e running sums.
+
+`inv_mod` inverts an arbitrary A modulo F by the extended Euclidean
+algorithm; negative gamma is handled by multiplying through by t^(m*r),
+which is 1 modulo F.  `dedekind.delta` and the CLI's `invmod` command
+use it.  The ice cream numerators of `icecream.p_orb_general` do not:
+they need only h (`_cofactor`), multiply closed-form inverses as integer
+vectors modulo 1 - t^r (`_times_geometric`) and fold the product into its
+window once (`_fold_to_window`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Sequence
 
 from .exactpoly import (
+    ExactDivisionError,
     LaurentPoly,
+    _div_one_minus,
     divides,
-    exact_div,
     poly_ext_gcd,
-    poly_gcd,
     reduce_to_window,
 )
 
@@ -49,6 +63,63 @@ class ModulusData:
     d: int
 
 
+def _mul_one_minus(p: list[int], e: int) -> list[int]:
+    """p * (1 - t^e) on a coefficient list."""
+    out = p + [0] * e
+    for k, c in enumerate(p):
+        out[k + e] -= c
+    return out
+
+
+def _poly(coeffs: list[int], start: int = 0) -> LaurentPoly:
+    """The Laurent polynomial sum coeffs[i] t^(start + i)."""
+    return LaurentPoly({start + i: c for i, c in enumerate(coeffs) if c})
+
+
+def _binomial_exponents(r: int, a_list: Sequence[int]) -> dict[int, int]:
+    """The c_e with lcm_j(1 - t^(g_j)) = +-prod_e (1 - t^e)^(c_e), g_j = gcd(a_j, r).
+
+    The cyclotomic factors of 1 - t^r are indexed by the divisors of r, and
+    those of 1 - t^g by the divisors of g.  Adding one g to the union U of
+    divisor sets counts U + D(g) - (U meet D(g)), and a signed sum of D(e)
+    meets D(g) in the same sum of D(gcd(e, g)).
+    """
+    c: dict[int, int] = {}
+    for g in sorted({gcd(a, r) for a in a_list}):
+        step = {g: 1}
+        for e, m in c.items():
+            eg = gcd(e, g)
+            step[eg] = step.get(eg, 0) - m
+        for e, m in step.items():
+            c[e] = c.get(e, 0) + m
+    return {e: m for e, m in c.items() if m}
+
+
+def _signed_product(num: list[int], exponents: dict[int, int]) -> list[int]:
+    """(-1)^(1 + sum c_e) * num * prod_e (1 - t^e)^(c_e), every division exact.
+
+    The sign gives h = prod (1 - t^e)^(c_e) leading coefficient -1 and
+    F = (1 - t^r) prod (1 - t^e)^(-c_e) leading coefficient 1.
+    """
+    for e, m in exponents.items():
+        for _ in range(m):
+            num = _mul_one_minus(num, e)
+    for e, m in exponents.items():
+        for _ in range(-m):
+            q = _div_one_minus(num, e)
+            if q is None:
+                raise ExactDivisionError(f"(1 - t^{e}) does not divide the modulus data")
+            num = q
+    if sum(exponents.values()) % 2 == 0:
+        num = [-x for x in num]
+    return num
+
+
+def _cofactor(r: int, a_list: Sequence[int]) -> list[int]:
+    """h = hcf(1 - t^r, prod(1 - t^a)) with leading coefficient -1."""
+    return _signed_product([1], _binomial_exponents(r, a_list))
+
+
 def build_modulus(r: int, a_list: Sequence[int]) -> ModulusData:
     """Compute A = prod(1-t^a), h = hcf(1-t^r, A) and F = (1-t^r)/h.
 
@@ -59,16 +130,69 @@ def build_modulus(r: int, a_list: Sequence[int]) -> ModulusData:
         raise ValueError("period r must be >= 1")
     if not a_list:
         raise ValueError("a_list must be nonempty")
-    A = LaurentPoly.term(1)
+    A = [1]
     for a in a_list:
         if a < 1:
             raise ValueError("weights must be positive")
-        A = A * LaurentPoly.one_minus(a)
-    one_minus_tr = LaurentPoly.one_minus(r)
-    h = -poly_gcd(one_minus_tr, A)
-    F = exact_div(one_minus_tr, h)
-    d = F.degree
-    return ModulusData(r=r, A=A, h=h, F=F, d=d)
+        A = _mul_one_minus(A, a)
+    c = _binomial_exponents(r, a_list)
+    h = _signed_product([1], c)
+    F = _signed_product(_mul_one_minus([1], r), {e: -m for e, m in c.items()})
+    return ModulusData(r=r, A=_poly(A), h=_poly(h), F=_poly(F), d=len(F) - 1)
+
+
+def _times_geometric(x: list[int], a: int, b: int) -> list[int]:
+    """x * sum_{j<b} t^(a*j) modulo 1 - t^r, with r = len(x).
+
+    A sliding sum along each stride-a cycle of Z/r:
+    y[k + a] = y[k] + x[k + a] - x[k + a - a*b], so O(r) in all.
+    """
+    r = len(x)
+    y = [0] * r
+    if b == 0:
+        return y
+    g = gcd(a, r)
+    for start in range(g):
+        acc = sum(x[(start - a * j) % r] for j in range(b))
+        k = start
+        for _ in range(r // g):
+            y[k] = acc
+            k = (k + a) % r
+            acc += x[k] - x[(k - a * b) % r]
+    return y
+
+
+def _fold_to_window(x: list[int], h: list[int], gamma: int) -> LaurentPoly:
+    """The representative of x modulo F = (1 - t^r)/h in [gamma, gamma + deg F - 1].
+
+    x is a class modulo 1 - t^r as a length-r list and h a coefficient
+    list with h[0] = +-1.  h*x is reduced modulo 1 - t^r into the
+    exponents [gamma, gamma + r - 1]; that is h times a class of x modulo
+    F, and dividing by h exactly leaves it in a window of r - deg h
+    exponents.
+    """
+    r = len(x)
+    h_terms = [(e, c) for e, c in enumerate(h) if c]
+    z = [0] * r
+    for e, c in h_terms:
+        s = r - e % r
+        z = [zi + c * xi for zi, xi in zip(z, x[s:] + x[:s])]
+    g = gamma % r
+    w = z[g:] + z[:g]
+    d = r - (len(h) - 1)
+    unit = h[0]
+    tail = h_terms[1:]
+    # long division from the constant term; w[:d] becomes the quotient
+    for k in range(d):
+        q = w[k]
+        if q:
+            q *= unit
+            w[k] = q
+            for e, c in tail:
+                w[k + e] -= q * c
+    if any(w[d:]):
+        raise ExactDivisionError(f"({_poly(h)}) does not divide the folded class")
+    return _poly(w[:d], gamma)
 
 
 def integer_inverse(a: int, r: int) -> int:

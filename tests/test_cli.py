@@ -304,6 +304,14 @@ class TestMalformedInputExit2:
         self.assert_malformed(capsys, ["k3", "--genus", "2", "--basket", "1/0(1,1)"])
         self.assert_malformed(capsys, self.X40[:-1] + ["1/0(1)"])
 
+    @pytest.mark.parametrize("argv", [
+        ["hilbert", "--weights", "0,1"],
+        ["hilbert", "--weights", "1"],
+        ["hilbert", "--weights", "1,1,1", "--degrees", "0"],
+    ], ids=["weight_zero", "dimension_zero", "degree_zero"])
+    def test_hilbert_ci_out_of_range(self, capsys, argv):
+        self.assert_malformed(capsys, argv)
+
     @pytest.mark.parametrize("n", ["0", "-3", "x"])
     @pytest.mark.parametrize("argv", [
         ["hilbert", "--weights", "1,1,2,2,3", "--degrees", "10"],
