@@ -222,7 +222,7 @@ def _cmd_parse(args) -> _Result:
 
 
 def _cmd_porb(args) -> _Result:
-    q = OrbifoldType(args.r, _int_list(args.a))
+    q = OrbifoldType(args.r, _int_list(args.a) if args.a else ())  # --a "": 1/1()
     n = args.n if args.n is not None else q.n
     part = p_orb_general(q, args.k, n) if (args.general or not q.is_isolated) else p_orb(q, args.k, n)
     payload = {
@@ -238,7 +238,7 @@ def _cmd_porb(args) -> _Result:
 
 
 def _cmd_dedekind(args) -> _Result:
-    q = OrbifoldType(args.r, _int_list(args.a))
+    q = OrbifoldType(args.r, _int_list(args.a) if args.a else ())  # --a "": 1/1()
     sg = sigma(q)
     d = delta(q)
     payload = {
@@ -267,7 +267,7 @@ def _cmd_invmod(args) -> _Result:
         if not (args.r and args.a):
             raise InputError("give either --r/--a or --a-poly/--f-poly/--period")
         md = build_modulus(args.r, _int_list(args.a))
-        B = inv_mod(md.A, md.F, args.gamma, md.r) if md.d > 0 else LaurentPoly()
+        B = inv_mod(md.A, md.F, args.gamma, md.r)
         payload = {
             "r": md.r,
             "A": poly_to_json(md.A),

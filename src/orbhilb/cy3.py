@@ -124,17 +124,13 @@ def iv_numerator(s: int, a: int) -> LaurentPoly:
 
         (1-t^a)^2 (1-t^(s-a))^2 B == t^a - t^(s-a)  mod (1-t^s)/(1-t).
 
-    Computed as the difference of two InverseMods; B == 0 when s = 2 and
-    B flips sign under a <-> s-a.
+    Computed as the difference of two InverseMods in the window [1, s-1];
+    B == 0 when s = 2 and B flips sign under a <-> s-a.
     """
     Fs = LaurentPoly.geometric(s)
     a1 = LaurentPoly.one_minus(a) ** 2 * LaurentPoly.one_minus(s - a)
     a2 = LaurentPoly.one_minus(a) * LaurentPoly.one_minus(s - a) ** 2
-    if a1 == a2:
-        return LaurentPoly()
-    b1 = inv_mod(a1.shift(1), Fs, 0, s)
-    b2 = inv_mod(a2.shift(1), Fs, 0, s)
-    return (b1 - b2).shift(1)
+    return inv_mod(a1, Fs, 1, s) - inv_mod(a2, Fs, 1, s)
 
 
 def _part_i(dc2: Fraction, d3: Fraction) -> RationalFn:

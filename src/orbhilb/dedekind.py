@@ -59,7 +59,7 @@ class OrbifoldType:
                 raise ValueError("type 1/1 must have an empty weight list")
         else:
             if not reduced:
-                raise ValueError("at least one weight is required when r > 1")
+                raise InputError("at least one weight is required when r > 1")
             if any(a == 0 for a in reduced):
                 raise ValueError(f"weights must be nonzero modulo r={r}")
             if gcd(r, *reduced) != 1:
@@ -125,7 +125,7 @@ class SigmaVector:
         return iter(self.values)
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=32)  # types recur close together: sigma, then porb_minus_dedekind
 def delta(Q: OrbifoldType) -> LaurentPoly:
     """Dedekind sum polynomial Delta = h t * InvMod(h t A, F, 0), support in [1, r]."""
     if Q.r == 1:

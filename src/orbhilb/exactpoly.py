@@ -23,7 +23,6 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -456,15 +455,7 @@ def poly_ext_gcd(
     return r0 * inv, s0 * inv, t0 * inv
 
 
-@lru_cache(maxsize=256)
-def _fold_cofactor(F: LaurentPoly, period: int) -> LaurentPoly:
-    # h with h * F == 1 - t^period; raises if the period is wrong for F
-    return exact_div(LaurentPoly.one_minus(period), F)
-
-
-def reduce_to_window(
-    p: LaurentPoly, F: LaurentPoly, gamma: int, period: int | None = None
-) -> LaurentPoly:
+def reduce_to_window(p: LaurentPoly, F: LaurentPoly, gamma: int) -> LaurentPoly:
     """Fold p into the window [gamma, gamma + deg F - 1] modulo F.
 
     F must be monic with nonzero constant term.  The result is the unique
@@ -472,28 +463,15 @@ def reduce_to_window(
     t is invertible) supported in the given window of deg F consecutive
     exponents.  Folding an already-folded value is the identity.
 
-    When F divides 1 - t^period, passing the period turns folding into
-    exponent reduction modulo the period (after multiplying by the
-    cofactor h = (1-t^period)/F), which is much faster than generic
-    remaindering.
+    This is generic remaindering, for any such F; it is the reference the
+    tests fold with.  The library's moduli all divide some 1 - t^r, and
+    `invmod._fold_to_window` folds those on integer lists instead.
     """
     if F.is_zero or not F.is_polynomial:
         raise ValueError("modulus must be a nonzero polynomial")
     d = F.degree
     if d < 1 or F.coeff(d) != 1 or F.coeff(0) == 0:
         raise ValueError("modulus must be monic of degree >= 1 with nonzero constant term")
-    if period is not None:
-        h = _fold_cofactor(F, period)
-        hp = h * p
-        acc: dict[int, Fraction] = {}
-        for e, c in hp._terms.items():
-            ee = gamma + (e - gamma) % period
-            s = acc.get(ee, Fraction(0)) + c
-            if s:
-                acc[ee] = s
-            else:
-                acc.pop(ee, None)
-        return exact_div(LaurentPoly(acc), h)
     f0 = F.coeff(0)
     r = dict(p._terms)
 

@@ -17,13 +17,15 @@ the g_j writes it as prod_e (1 - t^e)^(c_e), so h and F are built on
 integer coefficient lists by multiplying by binomials and dividing exactly
 by stride-e running sums.
 
-`inv_mod` inverts an arbitrary A modulo F by the extended Euclidean
-algorithm; negative gamma is handled by multiplying through by t^(m*r),
-which is 1 modulo F.  `dedekind.delta` and the CLI's `invmod` command
-use it.  The ice cream numerators of `icecream.p_orb_general` do not:
-they need only h (`_cofactor`), multiply closed-form inverses as integer
-vectors modulo 1 - t^r (`_times_geometric`) and fold the product into its
-window once (`_fold_to_window`).
+Every class modulo 1 - t^r is put into its window of deg F exponents by
+one routine, `_fold_to_window`: multiply by h, reduce exponents modulo r,
+divide exactly by h.  `inv_mod` inverts an arbitrary A modulo F by the
+extended Euclidean algorithm between two such folds (A into [0, d - 1]
+before, the inverse into [gamma, gamma + d - 1] after, for any integer
+gamma); `dedekind.delta` and the CLI's `invmod` command use it.  The ice
+cream numerators of `icecream.p_orb_general` need no Euclid: they take
+only h (`_cofactor`), multiply closed-form inverses as integer vectors
+modulo 1 - t^r (`_times_geometric`) and fold the product once.
 """
 
 from __future__ import annotations
@@ -36,9 +38,8 @@ from .exactpoly import (
     ExactDivisionError,
     LaurentPoly,
     _div_one_minus,
-    divides,
+    exact_div,
     poly_ext_gcd,
-    reduce_to_window,
 )
 
 __all__ = ["ModulusData", "NotCoprimeError", "build_modulus", "inv_mod", "integer_inverse"]
@@ -165,11 +166,12 @@ def _times_geometric(x: list[int], a: int, b: int) -> list[int]:
 def _fold_to_window(x: list[int], h: list[int], gamma: int) -> LaurentPoly:
     """The representative of x modulo F = (1 - t^r)/h in [gamma, gamma + deg F - 1].
 
-    x is a class modulo 1 - t^r as a length-r list and h a coefficient
-    list with h[0] = +-1.  h*x is reduced modulo 1 - t^r into the
-    exponents [gamma, gamma + r - 1]; that is h times a class of x modulo
-    F, and dividing by h exactly leaves it in a window of r - deg h
-    exponents.
+    x is a class modulo 1 - t^r as a length-r list (entry i the
+    coefficient of the exponents i mod r) and h a coefficient list with
+    h[0] = +-1; the entries may be ints or Fractions, and gamma is any
+    integer.  h*x is reduced modulo 1 - t^r into the exponents
+    [gamma, gamma + r - 1]; that is h times a class of x modulo F, and
+    dividing by h exactly leaves it in a window of r - deg h exponents.
     """
     r = len(x)
     h_terms = [(e, c) for e, c in enumerate(h) if c]
@@ -202,13 +204,25 @@ def integer_inverse(a: int, r: int) -> int:
     return pow(a % r, -1, r)
 
 
+def _residues(p: LaurentPoly, r: int) -> list:
+    """The class of p modulo 1 - t^r as a length-r list, exponents taken mod r."""
+    x = [0] * r
+    for e, c in p.items():
+        x[e % r] += c
+    return x
+
+
 def inv_mod(A: LaurentPoly, F: LaurentPoly, gamma: int, r: int) -> LaurentPoly:
     """Inverse of A modulo F supported in [gamma, gamma + deg F - 1].
 
     Preconditions: A is a polynomial coprime to F; F is monic with nonzero
     constant term; t^r == 1 modulo F (true for every F produced by
-    `build_modulus`, which is what licenses the shift trick for gamma < 0).
-    F == 1 is the degenerate period-1 case and returns 0.
+    `build_modulus`).  F == 1 is the degenerate period-1 case and returns 0.
+
+    h = (1 - t^r)/F is integral with h[0] = +-1: a monic divisor of the
+    squarefree 1 - t^r is a product of cyclotomic polynomials, and so is h
+    up to sign.  Its coefficients stay Fractions, which `_fold_to_window`
+    takes as they are.
     """
     if not A.is_polynomial or A.is_zero:
         raise ValueError("A must be a nonzero polynomial")
@@ -218,19 +232,21 @@ def inv_mod(A: LaurentPoly, F: LaurentPoly, gamma: int, r: int) -> LaurentPoly:
         return LaurentPoly()
     if F.coeff(F.degree) != 1 or F.coeff(0) == 0:
         raise ValueError("F must be monic with nonzero constant term")
-    if r < 1 or not divides(F, LaurentPoly.one_minus(r)):
+    if r < 1:
         raise ValueError("t^r must be congruent to 1 modulo F")
-    m = 0 if gamma >= 0 else -(gamma // r)
-    # reduce t^(gamma + m r) A modulo F first so the Euclidean step runs on
-    # degree < deg F; the answer is unchanged since the window representative
-    # is unique
-    shifted = reduce_to_window(A.shift(gamma + m * r), F, 0, period=r)
-    if shifted.is_zero:
+    try:
+        h = exact_div(LaurentPoly.one_minus(r), F)
+    except ExactDivisionError:
+        raise ValueError("t^r must be congruent to 1 modulo F") from None
+    hl = [h.coeff(e) for e in range(h.degree + 1)]
+    # fold A into [0, d - 1] first so the Euclidean step runs on degree
+    # < deg F; the inverse is then folded straight into its window
+    low = _fold_to_window(_residues(A, r), hl, 0)
+    if low.is_zero:
         raise NotCoprimeError("A is congruent to 0 modulo F")
-    g, u, _ = poly_ext_gcd(shifted, F)
+    g, u, _ = poly_ext_gcd(low, F)
     if g.degree > 0:
         raise NotCoprimeError(
             f"gcd(A, F) = {g} is not a unit; build the modulus with build_modulus first"
         )
-    B = reduce_to_window(u, F, 0, period=r)
-    return B.shift(gamma)
+    return _fold_to_window(_residues(u, r), hl, gamma)

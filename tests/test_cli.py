@@ -113,6 +113,13 @@ class TestDedekindCommand:
             "1/7", "1/7", "1/14", "-1/28", "0", "1/28", "-1/14",
         ]
 
+    def test_trivial_type(self, capsys):
+        code, payload = run_json(capsys, ["dedekind", "--r", "1", "--a", ""])
+        assert code == 0
+        assert payload == {"type": "1/1()", "sigma": ["0"], "delta": {}}
+        assert run(["dedekind", "--r", "1", "--a", ""]) == 0
+        assert capsys.readouterr().out == "sigma(1/1()) = (0)\nDelta = 0\n"
+
 
 class TestPorbCommand:
     def test_isolated(self, capsys):
@@ -127,6 +134,13 @@ class TestPorbCommand:
 
     def test_bad_weight_congruence_exit_1(self, capsys):
         assert run(["porb", "--r", "7", "--a", "5", "--k", "1"]) == 1
+
+    def test_trivial_type(self, capsys):
+        code, payload = run_json(capsys, ["porb", "--r", "1", "--a", "", "--k", "0"])
+        assert code == 0
+        assert payload["type"] == "1/1()"
+        assert poly_from_json(payload["numerator"]).is_zero
+        assert payload["fn"] == {"num": {}, "den": [1]}
 
 
 class TestInvmodCommand:
@@ -294,6 +308,17 @@ class TestMalformedInputExit2:
         self.assert_malformed(capsys, ["dedekind", "--r", "0", "--a", "1,2"])
         self.assert_malformed(capsys, ["porb", "--r", "-3", "--a", "1", "--k", "0"])
         self.assert_malformed(capsys, ["invmod", "--r", "0", "--a", "1"])
+
+    @pytest.mark.parametrize("argv", [
+        ["dedekind", "--r", "5", "--a", ""],
+        ["porb", "--r", "5", "--a", "", "--k", "0"],
+        ["invmod", "--r", "1", "--a", ""],
+    ], ids=["dedekind", "porb", "invmod_r1"])
+    def test_empty_weights(self, capsys, argv):
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err)["type"] == "InputError"
 
     def test_period_below_one(self, capsys):
         self.assert_malformed(capsys, ["invmod", "--a-poly", "1+t", "--f-poly", "1+t+t^2",

@@ -56,6 +56,11 @@ class TestOrbifoldType:
             OrbifoldType.parse("1/7(7)")
         assert not isinstance(info.value, InputError)
 
+    def test_empty_weights_need_r_one(self):
+        assert OrbifoldType.parse("1/1()") == OrbifoldType(1, ())
+        with pytest.raises(InputError):
+            OrbifoldType(5, ())
+
 
 class TestDelta:
     def test_x40_value(self):

@@ -1,10 +1,12 @@
 """The integer kernel against the Fraction algorithms it replaced.
 
-`build_modulus`, the ice cream numerator of `p_orb_general` and the
-binomial path of `exact_div` work on integer coefficient lists.  The
-reference implementations below are the earlier ones: h from a polynomial
-gcd, the numerator folded through `reduce_to_window` after every product,
-and every quotient from `poly_divmod`.  Results must agree exactly.
+`build_modulus`, the ice cream numerator of `p_orb_general`, the folds of
+`inv_mod` and the binomial path of `exact_div` work on integer coefficient
+lists.  The reference implementations below are the earlier ones: h from a
+polynomial gcd, the numerator folded after every product (multiply by h,
+reduce the exponents modulo r, divide by h), `inv_mod` by generic
+remaindering around extended Euclid, and every quotient from
+`poly_divmod`.  Results and error messages must agree exactly.
 """
 
 from fractions import Fraction
@@ -18,17 +20,21 @@ from orbhilb import (
     ExactDivisionError,
     LaurentPoly,
     MathCheckError,
+    NotCoprimeError,
     OrbifoldType,
     build_modulus,
+    divides,
     exact_div,
     integer_inverse,
+    inv_mod,
     is_palindromic,
     p_orb_general,
     poly_divmod,
+    poly_ext_gcd,
     poly_gcd,
     reduce_to_window,
 )
-from conftest import small_fractions
+from conftest import small_fractions, small_poly
 
 LP = LaurentPoly
 
@@ -43,6 +49,19 @@ def ref_build_modulus(r, a_list):
     return A, h, F, F.degree
 
 
+def ref_fold(p, h, gamma, r):
+    """Fold p into [gamma, gamma + r - deg h - 1] modulo F = (1 - t^r)/h.
+
+    h*p is reduced modulo 1 - t^r into [gamma, gamma + r - 1], which is
+    h times a class of p modulo F, and divided by h exactly.
+    """
+    acc = {}
+    for e, c in (h * p).items():
+        ee = gamma + (e - gamma) % r
+        acc[ee] = acc.get(ee, 0) + c
+    return ref_exact_div(LP(acc), h)
+
+
 def ref_numerator(Q, k):
     """The ice cream numerator of p_orb_general by repeated folding."""
     A, h, F, d = ref_build_modulus(Q.r, Q.a_list)
@@ -50,8 +69,8 @@ def ref_numerator(Q, k):
     inv = LP.term(1)
     for a, s in zip(Q.a_list, Q.s_list):
         b = integer_inverse(a // s, Q.r // s)
-        inv = reduce_to_window(inv * LP({a * j: 1 for j in range(b)}), F, 0, period=Q.r)
-    return reduce_to_window(inv, F, gamma, period=Q.r)
+        inv = ref_fold(inv * LP({a * j: 1 for j in range(b)}), h, 0, Q.r)
+    return ref_fold(inv, h, gamma, Q.r)
 
 
 def ref_exact_div(a, b):
@@ -62,6 +81,38 @@ def ref_exact_div(a, b):
     if not rem.is_zero:
         raise ExactDivisionError(f"({b}) does not divide ({a})")
     return q.shift(va - vb)
+
+
+def ref_inv_mod(A, F, gamma, r):
+    """InverseMod with the shift trick: t^(m*r) == 1 modulo F makes gamma >= 0."""
+    if not A.is_polynomial or A.is_zero:
+        raise ValueError("A must be a nonzero polynomial")
+    if F.is_zero or not F.is_polynomial:
+        raise ValueError("F must be a nonzero polynomial")
+    if F.degree == 0:
+        return LP()
+    if F.coeff(F.degree) != 1 or F.coeff(0) == 0:
+        raise ValueError("F must be monic with nonzero constant term")
+    if r < 1 or not divides(F, LP.one_minus(r)):
+        raise ValueError("t^r must be congruent to 1 modulo F")
+    m = 0 if gamma >= 0 else -(gamma // r)
+    shifted = reduce_to_window(A.shift(gamma + m * r), F, 0)
+    if shifted.is_zero:
+        raise NotCoprimeError("A is congruent to 0 modulo F")
+    g, u, _ = poly_ext_gcd(shifted, F)
+    if g.degree > 0:
+        raise NotCoprimeError(
+            f"gcd(A, F) = {g} is not a unit; build the modulus with build_modulus first"
+        )
+    return reduce_to_window(u, F, 0).shift(gamma)
+
+
+def outcome(f, *args):
+    """The value of f(*args), or the class and message of what it raised."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
 
 
 @st.composite
@@ -124,6 +175,57 @@ class TestNumeratorDifferential:
 
     def test_trivial_period(self):
         assert p_orb_general(OrbifoldType(1, ()), 3, n=2).numerator.is_zero
+
+
+@st.composite
+def inverse_cases(draw):
+    """(A, F, gamma, r) from build_modulus data: r <= 40, weights up to 3r.
+
+    A is the modulus's own A (coprime to F), delta's h t A, or A times a
+    polynomial or by 1 - t^b for a proper divisor b of r (so that it may
+    share a factor with F), or a multiple of F.  One case in four has a period other than r, which F
+    may not divide.
+    """
+    r = draw(st.integers(min_value=1, max_value=40))
+    if draw(st.booleans()):
+        q = draw(curve_strata_types().filter(lambda q: q.r <= 40))
+        r, a = q.r, q.a_list
+    else:
+        a = draw(st.lists(st.integers(min_value=1, max_value=3 * r), min_size=1, max_size=4))
+    md = build_modulus(r, a)
+    kind = draw(st.sampled_from(["A", "htA", "times", "binomial", "zero"]))
+    if kind == "A":
+        A = md.A
+    elif kind == "htA":
+        A = md.h.shift(1) * md.A
+    elif kind == "times":
+        A = md.A * draw(small_poly)
+    elif kind == "binomial":
+        b = draw(st.sampled_from([e for e in range(2, r) if r % e == 0] or [r]))
+        A = md.A * LP.one_minus(b) * draw(small_poly.filter(bool))
+    else:
+        A = md.F * draw(small_poly.filter(bool))
+    gamma = draw(st.integers(min_value=-3 * r, max_value=3 * r))
+    period = r
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        period = draw(st.sampled_from([0, -r, 2 * r]) | st.integers(min_value=1, max_value=40))
+    return A, md.F, gamma, period
+
+
+class TestInvModDifferential:
+    @settings(max_examples=400, deadline=None)
+    @given(inverse_cases())
+    @example((LP.geometric(5), LP.geometric(7), 3, 7))
+    @example((LP.geometric(2), LP.geometric(5), -4, 5))
+    @example((LP.one_minus(5), LP.geometric(5), 0, 5))
+    @example((LP.geometric(5), LP.geometric(7), 0, 6))
+    @example((LP.geometric(5), LP.geometric(7), 0, 0))
+    @example((LP.one_minus(5) * LP({0: 1, 1: 1}), LP({0: 1, 1: 1, 2: 1}), -7, 6))
+    @example((LP.term(1), LP.term(1), -3, 1))
+    @example((LP.one_minus(2), build_modulus(12, (5,)).F, -30, 12))
+    @example((build_modulus(12, (4, 6, 9)).A, build_modulus(12, (4, 6, 9)).F, -5, 0))
+    def test_matches_shift_trick(self, case):
+        assert outcome(inv_mod, *case) == outcome(ref_inv_mod, *case)
 
 
 laurent_factors = st.builds(
