@@ -10,8 +10,9 @@ diagnostic naming the check and the offending residual is printed; this
 includes a weight of 0 mod r, a non-effective action and a broken weight
 congruence); 2 malformed input: an unknown command or flag, a missing or
 non-integer value (--curves included), --r, --period or --series below 1,
-a type 1/r(...) with r < 1, or an unparseable basket, curve, polynomial
-or batch file.
+a type 1/r(...) with r < 1, a period above MAX_PERIOD (--r, --period, a
+basket or point type's r, a curve's s) or --series above MAX_SERIES, or an
+unparseable basket, curve, polynomial or batch file.
 
 JSON wire format: a Laurent polynomial is a map {"exponent": "num/den"};
 a rational function is {"num": <poly>, "den": [a1, a2, ...]} with the
@@ -57,6 +58,17 @@ __all__ = ["run", "main", "render", "parse_basket", "poly_to_json", "poly_from_j
 
 _BASKET_ENTRY_RE = re.compile(r"^\s*(?:(\d+)\s*[xX*]\s*)?(1\s*/\s*\d+\s*\([^)]*\))\s*$")
 
+# Input bounds, checked before any work: the largest period (--r, --period,
+# the r of every basket or point type, the s of every curve) and the largest
+# --series N.  Near either bound the slowest command takes about 1 s.
+MAX_PERIOD = 100
+MAX_SERIES = 100_000
+
+
+def _at_most(value: int, limit: int, what: str) -> None:
+    if value > limit:
+        raise InputError(f"{what} = {value} is above the limit {limit}")
+
 
 def parse_basket(text: str) -> tuple[tuple[OrbifoldType, int], ...]:
     """Parse ``[<mult>x]1/<r>(<a1>,...,<an>)`` entries separated by ``;``."""
@@ -68,7 +80,9 @@ def parse_basket(text: str) -> tuple[tuple[OrbifoldType, int], ...]:
         if not m:
             raise InputError(f"cannot parse basket entry: {chunk!r}")
         mult = int(m.group(1)) if m.group(1) else 1
-        out.append((OrbifoldType.parse(m.group(2)), mult))
+        q = OrbifoldType.parse(m.group(2))
+        _at_most(q.r, MAX_PERIOD, f"r of {q.label()}")
+        out.append((q, mult))
     if not out:
         raise InputError(f"empty basket: {text!r}")
     return tuple(out)
@@ -326,6 +340,7 @@ def _parse_curves(text: str, with_data: bool) -> list[CurveStratum]:
             s, a = int(fields[0]), int(fields[1])
         except ValueError:
             raise InputError(f"curve entry {chunk!r} needs integers s and a") from None
+        _at_most(s, MAX_PERIOD, f"s of curve {chunk.strip()!r}")
         # rr mode: DC and the optional prefactor (the stratum defaults both to 0)
         out.append(CurveStratum(s, a, *(_fraction(f) for f in fields[2:])))
     return out
@@ -579,6 +594,8 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        for flag, limit in (("r", MAX_PERIOD), ("period", MAX_PERIOD), ("series", MAX_SERIES)):
+            _at_most(getattr(args, flag, None) or 0, limit, f"--{flag}")
         res = args.func(args)
         if args.series is not None and res.series is not None:
             coeffs = [str(c) for _, c in expand(res.series, args.series - 1)]

@@ -40,7 +40,6 @@ from typing import Sequence
 
 from .dedekind import OrbifoldType, delta, sigma
 from .exactpoly import (
-    DenomSpec,
     LaurentPoly,
     RationalFn,
     expand,
@@ -190,13 +189,19 @@ def cy3_rr_parts(
 
 
 def _solve_exact(
-    columns: Sequence[LaurentPoly], target: LaurentPoly, what: str
+    columns: Sequence[RationalFn], target: RationalFn, what: str
 ) -> list[Fraction]:
-    """Solve sum x_j columns[j] == target exactly; unique solution required."""
-    exps: set[int] = set(target._terms)
-    for c in columns:
+    """Solve sum x_j columns[j] == target exactly over one common denominator;
+    unique solution required."""
+    den = target.den
+    for fn in columns:
+        den = den.lcm(fn.den)
+    nums = [fn.over(den) for fn in columns]
+    rhs = target.over(den)
+    exps: set[int] = set(rhs._terms)
+    for c in nums:
         exps |= set(c._terms)
-    rows = [[c.coeff(e) for c in columns] + [target.coeff(e)] for e in sorted(exps)]
+    rows = [[c.coeff(e) for c in nums] + [rhs.coeff(e)] for e in sorted(exps)]
     ncols = len(columns)
     pivots: list[int] = []
     r = 0
@@ -239,7 +244,7 @@ def cy3_rr_fit(
 
     Curve degrees must be supplied on the strata; the scalars are the
     unique solution making I + II + III + IV equal P, found by exact
-    linear solve and then verified by cross-multiplied identity.
+    linear solve and then verified by exact identity.
     """
     entries = _check_points(points)
     base = RationalFn(LaurentPoly.term(1), ())
@@ -248,26 +253,19 @@ def cy3_rr_fit(
     for c in curves:
         base = base + _part_iii(c)
     residual = P - base
-    columns_fn = [
+    columns = [
         RationalFn(LaurentPoly.term(1, 1), (1, 1)),
         RationalFn(LaurentPoly({1: 1, 2: 4, 3: 1}), (1, 1, 1, 1)),
     ]
-    has_iv = [not iv_numerator(c.s, c.a).is_zero for c in curves]
-    for c, flag in zip(curves, has_iv):
-        if flag:
-            columns_fn.append(RationalFn(iv_numerator(c.s, c.a), (c.s,)))
-    den = residual.den
-    for fn in columns_fn:
-        den = den.lcm(fn.den)
-    target = residual.num * den.sub(residual.den).as_poly()
-    columns = [fn.num * den.sub(fn.den).as_poly() for fn in columns_fn]
-    sol = _solve_exact(columns, target, "cy3_rr_fit")
+    ivs = [iv_numerator(c.s, c.a) for c in curves]
+    columns += [RationalFn(b, (c.s,)) for c, b in zip(curves, ivs) if b]
+    sol = _solve_exact(columns, residual, "cy3_rr_fit")
     dc2 = sol[0] * 12
     d3 = sol[1] * 6
     prefs = iter(sol[2:])
     fitted = [
-        CurveStratum(c.s, c.a, c.dc, next(prefs) if flag else Fraction(0))
-        for c, flag in zip(curves, has_iv)
+        CurveStratum(c.s, c.a, c.dc, next(prefs) if b else Fraction(0))
+        for c, b in zip(curves, ivs)
     ]
     parts = cy3_rr_parts(dc2, d3, points, fitted)
     if parts.total() != P:
@@ -354,23 +352,18 @@ def cy3_ice_parts(
     for part, mult in point_parts:
         residual = residual - part.fn * mult
 
-    columns_fn: list[RationalFn] = []
+    columns: list[RationalFn] = []
     layout: list[tuple[CurveStratum, OrbifoldPart, int]] = []
     for c in strata:
         pb = p_orb(c.transverse_type, c.s, 2)
-        columns_fn.append(RationalFn(pb.numerator, pb.fn.den.plus((c.s,))))
+        columns.append(RationalFn(pb.numerator, pb.fn.den.plus((c.s,))))
         nb = len(_b_support(c.s))
         for _, mono in _b_support(c.s):
-            columns_fn.append(RationalFn(mono, (1, 1, 1, c.s)))
+            columns.append(RationalFn(mono, (1, 1, 1, c.s)))
         layout.append((c, pb, nb))
 
-    if columns_fn:
-        den = residual.den
-        for fn in columns_fn:
-            den = den.lcm(fn.den)
-        target = residual.num * den.sub(residual.den).as_poly()
-        columns = [fn.num * den.sub(fn.den).as_poly() for fn in columns_fn]
-        sol = _solve_exact(columns, target, "cy3_ice_parts")
+    if columns:
+        sol = _solve_exact(columns, residual, "cy3_ice_parts")
     else:
         if not residual.is_zero:
             raise DecompositionError(

@@ -3,8 +3,8 @@ functions whose denominators are products of binomials 1 - t^a.
 
 Everything here is exact.  Coefficients are `fractions.Fraction`, no
 floating point is used anywhere, and equality of rational functions is
-decided by cross-multiplied polynomial identity.  All values are immutable
-after construction and safe to share between threads.
+decided by comparing both numerators over a common denominator.  All
+values are immutable after construction and safe to share between threads.
 
 Conventions:
 
@@ -12,8 +12,10 @@ Conventions:
   integer exponents of either sign.  Zero coefficients are never stored;
   the empty map is the zero polynomial.
 * A denominator (`DenomSpec`) is a multiset of positive integers, an entry
-  ``a`` standing for the factor ``1 - t^a``.  Denominators stay factored;
-  the product is only expanded when a computation needs it.
+  ``a`` standing for the factor ``1 - t^a``.  Denominators stay factored
+  and are never expanded: a numerator is put over a larger denominator
+  (`RationalFn.over`) by multiplying by one binomial at a time, p - t^a p,
+  and divided by one at a time with `exact_div`'s running sum.
 * ``RationalFn(num, den)`` need not be in lowest terms.
 """
 
@@ -513,12 +515,6 @@ class DenomSpec:
             raise ValueError("denominator factors must be positive integers")
         object.__setattr__(self, "factors", fs)
 
-    def as_poly(self) -> LaurentPoly:
-        out = _ONE
-        for a in self.factors:
-            out = out * LaurentPoly.one_minus(a)
-        return out
-
     def lcm(self, other: "DenomSpec") -> "DenomSpec":
         c = Counter(self.factors) | Counter(other.factors)
         return DenomSpec(c.elements())
@@ -575,8 +571,8 @@ class SeriesWindow:
 class RationalFn:
     """Laurent numerator over a product of (1 - t^a) factors.
 
-    Not required to be in lowest terms; equality is cross-multiplied
-    polynomial identity.
+    Not required to be in lowest terms; equality compares both numerators
+    over the lcm of the two denominators.
     """
 
     num: LaurentPoly
@@ -598,8 +594,7 @@ class RationalFn:
         if not isinstance(other, RationalFn):
             return NotImplemented
         den = self.den.lcm(other.den)
-        num = self.num * den.sub(self.den).as_poly() + other.num * den.sub(other.den).as_poly()
-        return RationalFn(num, den)
+        return RationalFn(self.over(den) + other.over(den), den)
 
     def __sub__(self, other: "RationalFn") -> "RationalFn":
         return self + (-other)
@@ -615,28 +610,30 @@ class RationalFn:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalFn):
             return NotImplemented
-        return self.num * other.den.as_poly() == other.num * self.den.as_poly()
+        den = self.den.lcm(other.den)
+        return self.over(den) == other.over(den)
 
     # equality ignores the representation, so no consistent hash exists
     __hash__ = None
+
+    def over(self, den: DenomSpec) -> LaurentPoly:
+        """The numerator of self written over `den`, a multiple of self.den:
+        multiplied by each extra factor 1 - t^a as p - t^a p."""
+        num = self.num
+        for a in den.sub(self.den):
+            num = num - num.shift(a)
+        return num
 
     def simplify(self) -> "RationalFn":
         """Cancel denominator factors 1 - t^a that divide the numerator."""
         num = self.num
         kept: list[int] = []
-        for a in self.den:
-            if num.is_zero:
-                break
+        for a in self.den:  # a zero numerator keeps no factor
             try:
                 num = exact_div(num, LaurentPoly.one_minus(a))
             except ExactDivisionError:
                 kept.append(a)
-        if num.is_zero:
-            return RationalFn(num, ())
         return RationalFn(num, kept)
-
-    def expand(self, up_to: int) -> SeriesWindow:
-        return expand(self, up_to)
 
     def __str__(self) -> str:
         if self.num.is_zero:
@@ -659,30 +656,28 @@ def expand(f: RationalFn, up_to: int) -> SeriesWindow:
     if up_to < 0:
         raise ValueError("up_to must be >= 0")
     g = f.simplify()
-    if g.num.is_zero:
-        return SeriesWindow(0, [Fraction(0)] * (up_to + 1))
-    if g.num.valuation < 0:
+    if g.num and g.num.valuation < 0:
         raise SeriesExpansionError(
             f"no power series at t=0: pole of order {-g.num.valuation} remains"
         )
-    # series of 1 / prod(1 - t^a): repeated prefix sums with stride a
-    s = [Fraction(0)] * (up_to + 1)
-    s[0] = Fraction(1)
+    # divide the numerator by one 1 - t^a at a time, each a running sum with
+    # stride a, on integers scaled by the numerator's common denominator
+    scale = lcm(*(c.denominator for c in g.num._terms.values()))
+    out = [0] * (up_to + 1)
+    for e, c in g.num._terms.items():
+        if e <= up_to:
+            out[e] = c.numerator * (scale // c.denominator)
     for a in g.den:
         for i in range(a, up_to + 1):
-            s[i] += s[i - a]
-    out = [Fraction(0)] * (up_to + 1)
-    for e, c in g.num._terms.items():
-        for m in range(e, up_to + 1):
-            out[m] += c * s[m - e]
-    return SeriesWindow(0, out)
+            out[i] += out[i - a]
+    return SeriesWindow(0, [Fraction(x, scale) for x in out])
 
 
 def is_gorenstein_symmetric(f: RationalFn, k: int, n: int) -> bool:
     """Check the functional equation t^k f(1/t) = (-1)^(n+1) f(t) exactly.
 
-    Decided as a cross-multiplied identity of Laurent polynomials, never
-    through truncated series.
+    Both sides lie over the same denominator, since 1 - t^-a = -t^-a (1 - t^a),
+    so this is an identity of their numerators, never of truncated series.
     """
     shift = k + sum(f.den.factors)
     sign_lhs = -1 if len(f.den.factors) % 2 else 1

@@ -26,9 +26,8 @@ from fractions import Fraction
 from math import comb, gcd
 from typing import Iterable, Sequence
 
-from .dedekind import OrbifoldType
+from .dedekind import OrbifoldType, sigma_surface_closed
 from .exactpoly import (
-    DenomSpec,
     ExactDivisionError,
     InputError,
     LaurentPoly,
@@ -41,7 +40,6 @@ from .exactpoly import (
     is_palindromic,
 )
 from .icecream import OrbifoldPart, p_orb
-from .invmod import integer_inverse
 
 __all__ = [
     "DecompositionError",
@@ -195,9 +193,11 @@ def parse_main(
     for part, mult in parts:
         residual = residual - part.fn * mult
     c = k + n + 1
-    one_minus_t = LaurentPoly.one_minus(1)
+    # A = residual * (1-t)^(n+1), divided by one denominator binomial at a time
+    A = residual.over(residual.den.plus((1,) * (n + 1)))
     try:
-        A = exact_div(residual.num * one_minus_t ** (n + 1), residual.den.as_poly())
+        for a in residual.den:
+            A = exact_div(A, LaurentPoly.one_minus(a))
     except ExactDivisionError:
         raise DecompositionError(
             "residual is not of the form A(t)/(1-t)^(n+1); wrong basket, or the "
@@ -308,7 +308,7 @@ def binom_decompose(A: LaurentPoly, k: int, n: int) -> tuple[tuple[int, int], ..
             residual=A,
         )
     nu_min = -k if (-k - n) % 2 == 0 else -k - 1
-    one_minus_t_sq = LaurentPoly.one_minus(1) ** 2
+    one_minus_t = LaurentPoly.one_minus(1)
     out: list[tuple[int, int]] = []
     R = A
     for nu in range(n, nu_min - 1, -2):
@@ -324,7 +324,7 @@ def binom_decompose(A: LaurentPoly, k: int, n: int) -> tuple[tuple[int, int], ..
         R = R - numer * b
         if nu > nu_min:
             try:
-                R = exact_div(R, one_minus_t_sq)
+                R = exact_div(exact_div(R, one_minus_t), one_minus_t)
             except ExactDivisionError:
                 raise DecompositionError(
                     "peeling failed: residual not divisible by (1-t)^2",
@@ -356,13 +356,9 @@ def binom_reassemble(
 
 
 def _periodic_loss(r: int, a: int) -> RationalFn:
-    # sum_{i=1..r-1} bi_bar (r - bi_bar) / (2r) t^i over 1 - t^r
-    b = integer_inverse(a, r)
-    terms = {}
-    for i in range(1, r):
-        bi = (b * i) % r
-        terms[i] = Fraction(bi * (r - bi), 2 * r)
-    return RationalFn(LaurentPoly(terms), (r,))
+    # sum_{i=1..r-1} (sigma_0 - sigma_i) t^i over 1 - t^r
+    sg = sigma_surface_closed(r, a)
+    return RationalFn(LaurentPoly({i: sg[0] - sg[i] for i in range(1, r)}), (r,))
 
 
 def _transverse_series(
@@ -381,14 +377,12 @@ def _transverse_series(
     for r, a in basket:
         if r < 2 or not 0 < a % r or gcd(a, r) != 1:
             raise ValueError(f"basket entry ({r},{a}) must have 0 < a and gcd(a,r) = 1")
-    degree = Fraction(2 * g - 2)
-    for r, a in basket:
-        b = integer_inverse(a, r)
-        degree += Fraction(b * (r - b), r)
+    losses = [_periodic_loss(r, a) for r, a in basket]
+    # b(r-b)/r is twice the loss coefficient of t, sigma_0 - sigma_1
+    degree = 2 * g - 2 + sum((2 * loss.num.coeff(1) for loss in losses), Fraction(0))
     series = RationalFn(LaurentPoly({0: 1, 1: 1}), (1,) * (n - 1))
     series = series + RationalFn(LaurentPoly({1: 1, 2: 1}), (1,) * (n + 1)) * (degree / 2)
-    for r, a in basket:
-        loss = _periodic_loss(r, a)
+    for loss in losses:
         series = series - RationalFn(loss.num, loss.den.plus((1,) * (n - 2)))
     types = [(OrbifoldType(r, (1,) * (n - 2) + (a, r - a)), 1) for r, a in basket]
     dec = parse_main(series, n=n, k=2 - n, basket=types)

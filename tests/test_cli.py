@@ -6,6 +6,8 @@ import pytest
 
 from orbhilb import LaurentPoly, RationalFn
 from orbhilb.cli import (
+    MAX_PERIOD,
+    MAX_SERIES,
     fn_from_json,
     fn_to_json,
     parse_basket,
@@ -346,6 +348,35 @@ class TestMalformedInputExit2:
     ], ids=["hilbert", "k3", "dedekind", "invmod"])
     def test_series_must_be_positive(self, capsys, argv, n):
         self.assert_malformed(capsys, argv + ["--series", n])
+
+    @pytest.mark.parametrize("argv", [
+        ["dedekind", "--r", "100000", "--a", "1,2"],
+        ["dedekind", "--r", str(MAX_PERIOD + 1), "--a", "1,2"],
+        ["porb", "--r", str(MAX_PERIOD + 1), "--a", "1,2", "--k", "-3"],
+        ["invmod", "--r", str(MAX_PERIOD + 1), "--a", "1"],
+        ["invmod", "--a-poly", "1+t", "--f-poly", "1+t+t^2", "--period", str(MAX_PERIOD + 1)],
+        ["parse", *X10, "--basket", f"1/{MAX_PERIOD + 1}(1,1,{MAX_PERIOD - 1})"],
+        ["k3", "--genus", "2", "--basket", f"1/2(1,1);1/{MAX_PERIOD + 1}(1,{MAX_PERIOD})"],
+        X40[:-1] + [f"1/{MAX_PERIOD + 1}(2,5,{MAX_PERIOD - 6})"],
+        X40 + ["--curves", f"2,1;{MAX_PERIOD + 1},2"],
+        X40 + ["--curves", f"{MAX_PERIOD + 1},2,1/2", "--mode", "rr"],
+        ["hilbert", *X10, "--series", str(MAX_SERIES + 1)],
+    ], ids=["dedekind_r100000", "dedekind", "porb", "invmod", "invmod_period", "parse_basket",
+            "k3_basket", "cy3_points", "cy3_curves", "cy3_curves_rr", "series"])
+    def test_above_input_bound(self, capsys, argv):
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        diag = json.loads(err)
+        assert diag["type"] == "InputError"
+        assert f"above the limit {MAX_SERIES if '--series' in argv else MAX_PERIOD}" in diag["error"]
+
+    def test_at_input_bound(self, capsys):
+        assert run(["porb", "--r", str(MAX_PERIOD), "--a", "1,2", "--k", "-3"]) == 0
+        capsys.readouterr()
+        code, payload = run_json(capsys, ["hilbert", *self.X10, "--series", str(MAX_SERIES)])
+        assert code == 0
+        assert len(payload["series"]) == MAX_SERIES
 
     def test_series_one_prints_one_coefficient(self, capsys):
         code, payload = run_json(capsys, ["hilbert", *self.X10, "--series", "1"])

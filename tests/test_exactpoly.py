@@ -147,7 +147,7 @@ class TestExpand:
         f = RationalFn(num, den)
         up_to = 14
         w = expand(f, up_to)
-        denpoly = f.den.as_poly()
+        denpoly = LP.one_minus(1) * LP.one_minus(2) * LP.one_minus(3)
         # truncated series times expanded denominator reproduces numerator
         prod = {}
         for m, c in w:

@@ -80,7 +80,10 @@ class TestParseMain:
         P, k, n = hilbert_ci((1, 1, 2, 2, 3), (10,))
         with pytest.raises(DecompositionError) as err:
             parse_main(P, n, k, [(OrbifoldType(2, (1, 1, 1)), 4)])
-        assert err.value.check in ("residual_denominator", "integrality", "palindromy")
+        assert err.value.check == "residual_denominator"
+        residual = err.value.residual
+        assert residual.num == LP({0: 1, 1: 1, 2: 1, 3: 5, 4: 9, 5: 9, 6: 5, 7: 1, 8: 1, 9: 1})
+        assert residual.den.factors == (1, 2, 2, 3)
 
     def test_non_gorenstein_rejected(self):
         bad = RationalFn(LP({0: 1, 1: 1}), (1, 2))
