@@ -39,21 +39,21 @@ from .exactpoly import (
     divides,
     exact_div,
     expand,
+    fn_sum,
     is_gorenstein_symmetric,
     is_palindromic,
     poly_divmod,
     poly_ext_gcd,
     poly_gcd,
     reduce_to_window,
+    times_binomials,
 )
 from .hilbert import (
     Basket,
     Decomposition,
     DecompositionError,
-    VarietyInput,
     binom_decompose,
     binom_reassemble,
-    decompose_variety,
     degree_from_decomposition,
     fano3_series,
     hilbert_ci,
@@ -61,7 +61,6 @@ from .hilbert import (
     k3_series,
     normalize_basket,
     parse_main,
-    variety_series,
 )
 from .icecream import OrbifoldPart, p_orb, p_orb_general, porb_minus_dedekind
 from .invmod import (

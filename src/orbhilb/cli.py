@@ -11,8 +11,9 @@ includes a weight of 0 mod r, a non-effective action and a broken weight
 congruence); 2 malformed input: an unknown command or flag, a missing or
 non-integer value (--curves included), --r, --period or --series below 1,
 a type 1/r(...) with r < 1, a period above MAX_PERIOD (--r, --period, a
-basket or point type's r, a curve's s) or --series above MAX_SERIES, or an
-unparseable basket, curve, polynomial or batch file.
+basket or point type's r, a curve's s), --series above MAX_SERIES, a k3 or
+fano3 basket of more than MAX_POINTS points, or an unparseable basket,
+curve, polynomial or batch file.
 
 JSON wire format: a Laurent polynomial is a map {"exponent": "num/den"};
 a rational function is {"num": <poly>, "den": [a1, a2, ...]} with the
@@ -42,13 +43,11 @@ from .exactpoly import (
     is_gorenstein_symmetric,
 )
 from .hilbert import (
-    VarietyInput,
     degree_from_decomposition,
     fano3_series,
     hilbert_ci,
     k3_series,
     parse_main,
-    variety_series,
 )
 from .icecream import p_orb, p_orb_general
 from .invmod import build_modulus, inv_mod
@@ -59,10 +58,12 @@ __all__ = ["run", "main", "render", "parse_basket", "poly_to_json", "poly_from_j
 _BASKET_ENTRY_RE = re.compile(r"^\s*(?:(\d+)\s*[xX*]\s*)?(1\s*/\s*\d+\s*\([^)]*\))\s*$")
 
 # Input bounds, checked before any work: the largest period (--r, --period,
-# the r of every basket or point type, the s of every curve) and the largest
-# --series N.  Near either bound the slowest command takes about 1 s.
+# the r of every basket or point type, the s of every curve), the largest
+# --series N and the most points of a k3 or fano3 basket, multiplicities
+# counted.  Near each bound the slowest command takes about 1 s.
 MAX_PERIOD = 100
 MAX_SERIES = 100_000
+MAX_POINTS = 40
 
 
 def _at_most(value: int, limit: int, what: str) -> None:
@@ -183,14 +184,15 @@ def _cmd_hilbert(args) -> _Result:
 def _variety_series(args) -> tuple[RationalFn, int, int]:
     weights = _int_list(args.weights)
     degrees = _int_list(args.degrees) if args.degrees else ()
-    record = VarietyInput(weights, degrees, k_override=args.k)
     if args.numerator:
         P = RationalFn(LaurentPoly.parse(args.numerator), weights)
         if args.k is None:
             raise InputError("--k is required with an explicit --numerator")
-        k, n = args.k, record.n
+        k, n = args.k, len(weights) - 1 - len(degrees)
     else:
-        P, k, n = variety_series(record)
+        P, k, n = hilbert_ci(weights, degrees)
+        if args.k is not None:
+            k = args.k
     return P, k, (n if args.n is None else args.n)
 
 
@@ -313,8 +315,10 @@ _TRANSVERSE = {
 def _cmd_transverse(args) -> _Result:
     key, label, k, kind, shape = _TRANSVERSE[args.command]
     n = 2 - k
+    entries = parse_basket(args.basket) if args.basket else ()
+    _at_most(sum(mult for _, mult in entries), MAX_POINTS, "number of basket points")
     pairs = []
-    for q, mult in parse_basket(args.basket) if args.basket else ():
+    for q, mult in entries:
         if q.n != n or q.a_list[:n - 2] != (1,) * (n - 2) or sum(q.a_list[-2:]) % q.r != 0:
             raise InputError(f"{kind} basket entry {q.label()} must be of shape {shape}")
         pairs.extend([(q.r, q.a_list[-2])] * mult)
@@ -367,7 +371,7 @@ def _cmd_cy3(args) -> _Result:
                  "A": fn_to_json(cp.a_part), "B_numerator": poly_to_json(cp.b_numerator)}
                 for cp in ice.curve_parts
             ],
-            "sum_matches_input": ice.total() == P,
+            "sum_matches_input": True,  # cy3_ice_parts checked the reassembly
         }
         lines = [f"P = {P}", f"P_I = {ice.initial}", *_porb_lines(ice.point_parts, 0)]
         for cp in ice.curve_parts:
@@ -379,15 +383,16 @@ def _cmd_cy3(args) -> _Result:
             raise InputError("--dc2 and --d3 must be given together (or both omitted)")
         if args.dc2 is not None:
             parts = cy3_rr_parts(_fraction(args.dc2), _fraction(args.d3), points, curves)
+            # cy3_rr_parts checks nothing; cy3_rr_fit has checked the reassembly
+            mismatch = P - parts.total()
+            if not mismatch.is_zero:
+                raise MathCheckError(
+                    "Riemann-Roch parts do not sum to the Hilbert series",
+                    check="reassembly",
+                    residual=mismatch.simplify(),
+                )
         else:
             parts = cy3_rr_fit(P, points, curves)
-        ok = parts.total() == P
-        if not ok:
-            raise MathCheckError(
-                "Riemann-Roch parts do not sum to the Hilbert series",
-                check="reassembly",
-                residual=(P - parts.total()).simplify(),
-            )
         payload = {
             "mode": "rr",
             "Dc2": str(parts.dc2),
@@ -399,7 +404,7 @@ def _cmd_cy3(args) -> _Result:
                     for c, fn in parts.part_iii],
             "IV": [{"s": c.s, "a": c.a, "prefactor": str(c.iv_prefactor),
                     "fn": fn_to_json(fn)} for c, fn in parts.part_iv],
-            "sum_matches_input": ok,
+            "sum_matches_input": True,
         }
         lines = [f"P = {P}", f"Dc2 = {parts.dc2}, D3 = {parts.d3}",
                  f"I = {parts.part_i}"]

@@ -43,7 +43,9 @@ from .exactpoly import (
     LaurentPoly,
     RationalFn,
     expand,
+    fn_sum,
     is_gorenstein_symmetric,
+    times_binomials,
 )
 from .hilbert import (
     Basket,
@@ -108,14 +110,12 @@ class CY3Parts:
     d3: Fraction
 
     def total(self) -> RationalFn:
-        out = self.part_i
-        for _, mult, fn in self.part_ii:
-            out = out + fn * mult
-        for _, fn in self.part_iii:
-            out = out + fn
-        for _, fn in self.part_iv:
-            out = out + fn
-        return out
+        return fn_sum((
+            self.part_i,
+            *(fn * mult for _, mult, fn in self.part_ii),
+            *(fn for _, fn in self.part_iii),
+            *(fn for _, fn in self.part_iv),
+        ))
 
 
 def iv_numerator(s: int, a: int) -> LaurentPoly:
@@ -127,16 +127,17 @@ def iv_numerator(s: int, a: int) -> LaurentPoly:
     B == 0 when s = 2 and B flips sign under a <-> s-a.
     """
     Fs = LaurentPoly.geometric(s)
-    a1 = LaurentPoly.one_minus(a) ** 2 * LaurentPoly.one_minus(s - a)
-    a2 = LaurentPoly.one_minus(a) * LaurentPoly.one_minus(s - a) ** 2
+    a1 = times_binomials(LaurentPoly.term(1), (a, a, s - a))
+    a2 = times_binomials(LaurentPoly.term(1), (a, s - a, s - a))
     return inv_mod(a1, Fs, 1, s) - inv_mod(a2, Fs, 1, s)
 
 
 def _part_i(dc2: Fraction, d3: Fraction) -> RationalFn:
-    out = RationalFn(LaurentPoly.term(1), ())
-    out = out + RationalFn(LaurentPoly.term(1, 1), (1, 1)) * (Fraction(dc2) / 12)
-    out = out + RationalFn(LaurentPoly({1: 1, 2: 4, 3: 1}), (1, 1, 1, 1)) * (Fraction(d3) / 6)
-    return out
+    return fn_sum((
+        RationalFn(LaurentPoly.term(1), ()),
+        RationalFn(LaurentPoly.term(1, 1), (1, 1)) * (Fraction(dc2) / 12),
+        RationalFn(LaurentPoly({1: 1, 2: 4, 3: 1}), (1, 1, 1, 1)) * (Fraction(d3) / 6),
+    ))
 
 
 def _part_iii(curve: CurveStratum) -> RationalFn:
@@ -193,9 +194,7 @@ def _solve_exact(
 ) -> list[Fraction]:
     """Solve sum x_j columns[j] == target exactly over one common denominator;
     unique solution required."""
-    den = target.den
-    for fn in columns:
-        den = den.lcm(fn.den)
+    den = target.den.lcm(*[fn.den for fn in columns])
     nums = [fn.over(den) for fn in columns]
     rhs = target.over(den)
     exps: set[int] = set(rhs._terms)
@@ -246,34 +245,43 @@ def cy3_rr_fit(
     unique solution making I + II + III + IV equal P, found by exact
     linear solve and then verified by exact identity.
     """
-    entries = _check_points(points)
-    base = RationalFn(LaurentPoly.term(1), ())
-    for q, mult in entries:
-        base = base + RationalFn(delta(q), (q.r,)) * mult
-    for c in curves:
-        base = base + _part_iii(c)
-    residual = P - base
+    # every piece is computed once: with D.c2 = D^3 = 0 and unit prefactors,
+    # part I is 1 and the part-IV functions are the prefactors' columns
+    unit = cy3_rr_parts(0, 0, points, [CurveStratum(c.s, c.a, c.dc, 1) for c in curves])
+    residual = fn_sum((
+        P,
+        -unit.part_i,
+        *(fn * -mult for _, mult, fn in unit.part_ii),
+        *(-fn for _, fn in unit.part_iii),
+    ))
+    ivs = [fn for _, fn in unit.part_iv]
     columns = [
         RationalFn(LaurentPoly.term(1, 1), (1, 1)),
         RationalFn(LaurentPoly({1: 1, 2: 4, 3: 1}), (1, 1, 1, 1)),
+        *(fn for fn in ivs if fn.num),
     ]
-    ivs = [iv_numerator(c.s, c.a) for c in curves]
-    columns += [RationalFn(b, (c.s,)) for c, b in zip(curves, ivs) if b]
     sol = _solve_exact(columns, residual, "cy3_rr_fit")
-    dc2 = sol[0] * 12
-    d3 = sol[1] * 6
+    dc2, d3 = sol[0] * 12, sol[1] * 6
     prefs = iter(sol[2:])
     fitted = [
-        CurveStratum(c.s, c.a, c.dc, next(prefs) if b else Fraction(0))
-        for c, b in zip(curves, ivs)
+        CurveStratum(c.s, c.a, c.dc, next(prefs) if fn.num else Fraction(0))
+        for c, fn in zip(curves, ivs)
     ]
-    parts = cy3_rr_parts(dc2, d3, points, fitted)
-    if parts.total() != P:
+    parts = CY3Parts(
+        part_i=_part_i(dc2, d3),
+        part_ii=unit.part_ii,
+        part_iii=tuple((c, fn) for c, (_, fn) in zip(fitted, unit.part_iii)),
+        part_iv=tuple((c, fn * c.iv_prefactor) for c, fn in zip(fitted, ivs)),
+        dc2=dc2,
+        d3=d3,
+    )
+    mismatch = P - parts.total()
+    if not mismatch.is_zero:
         raise DecompositionError(
             "cy3_rr_fit: fitted parts do not reassemble the series; the strata "
             "data are wrong",
             check="reassembly",
-            residual=(P - parts.total()).simplify(),
+            residual=mismatch.simplify(),
         )
     return parts
 
@@ -298,12 +306,8 @@ class CY3IceParts:
     curve_parts: tuple[CurveIcePart, ...]
 
     def total(self) -> RationalFn:
-        out = self.initial
-        for part, mult in self.point_parts:
-            out = out + part.fn * mult
-        for cp in self.curve_parts:
-            out = out + cp.a_part + cp.b_part
-        return out
+        curves = (fn for cp in self.curve_parts for fn in (cp.a_part, cp.b_part))
+        return fn_sum((self.initial, *(p.fn * m for p, m in self.point_parts), *curves))
 
 
 def _b_support(s: int) -> list[tuple[int, LaurentPoly]]:
@@ -348,9 +352,7 @@ def cy3_ice_parts(
     entries = _check_points(points)
     initial = initial_from_plurigenera(expand(P, 2), 0, 3)
     point_parts = tuple((p_orb_general(q, 0, 3), mult) for q, mult in entries)
-    residual = P - initial
-    for part, mult in point_parts:
-        residual = residual - part.fn * mult
+    residual = fn_sum((P, -initial, *(part.fn * -mult for part, mult in point_parts)))
 
     columns: list[RationalFn] = []
     layout: list[tuple[CurveStratum, OrbifoldPart, int]] = []
@@ -401,10 +403,11 @@ def cy3_ice_parts(
     result = CY3IceParts(
         initial=initial, point_parts=point_parts, curve_parts=tuple(curve_parts)
     )
-    if result.total() != P:
+    mismatch = P - result.total()
+    if not mismatch.is_zero:
         raise DecompositionError(
             "ice cream parts do not reassemble the series; the strata data are wrong",
             check="reassembly",
-            residual=(P - result.total()).simplify(),
+            residual=mismatch.simplify(),
         )
     return result

@@ -13,9 +13,12 @@ Conventions:
   the empty map is the zero polynomial.
 * A denominator (`DenomSpec`) is a multiset of positive integers, an entry
   ``a`` standing for the factor ``1 - t^a``.  Denominators stay factored
-  and are never expanded: a numerator is put over a larger denominator
-  (`RationalFn.over`) by multiplying by one binomial at a time, p - t^a p,
-  and divided by one at a time with `exact_div`'s running sum.
+  and are never expanded.  Every product, quotient and sum over them is
+  computed here, on (int list, valuation, common denominator) triples:
+  `times_binomials` multiplies by binomials (stride-a differences) and
+  divides exactly by others (stride-b running sums), and `fn_sum` adds
+  numerators over the lcm of their denominators in one pass.  `exact_div`
+  is long division, for divisors of any shape.
 * ``RationalFn(num, den)`` need not be in lowest terms.
 """
 
@@ -43,6 +46,8 @@ __all__ = [
     "InputError",
     "poly_divmod",
     "exact_div",
+    "times_binomials",
+    "fn_sum",
     "divides",
     "poly_gcd",
     "poly_ext_gcd",
@@ -271,13 +276,6 @@ class LaurentPoly:
             return self
         return self * (1 / self._terms[self.degree])
 
-    def evaluate(self, x: Coeff) -> Fraction:
-        x = _as_fraction(x)
-        total = Fraction(0)
-        for e, c in self._terms.items():
-            total += c * x**e
-        return total
-
     def at_one(self) -> Fraction:
         """Sum of coefficients, i.e. the value at t = 1."""
         return sum(self._terms.values(), Fraction(0))
@@ -348,6 +346,77 @@ _ZERO = LaurentPoly()
 _ONE = LaurentPoly.term(1)
 
 
+def _to_ints(p: LaurentPoly) -> tuple[list[int], int, int]:
+    """(x, v, den) with p = sum x[i]/den t^(v+i): the coefficients from the
+    valuation to the degree over their least common denominator."""
+    terms = p._terms
+    if not terms:
+        return [], 0, 1
+    v = min(terms)
+    # star-arguments from lists: a generator's argument tuple is resized, and
+    # resized tuples pile up on CPython's tuple free lists (peak RSS grows)
+    den = lcm(*[c.denominator for c in terms.values()])
+    x = [0] * (max(terms) - v + 1)
+    for e, c in terms.items():
+        x[e - v] = c.numerator * (den // c.denominator)
+    return x, v, den
+
+
+def _from_ints(x: list[int], v: int = 0, den: int = 1) -> LaurentPoly:
+    """The Laurent polynomial sum x[i]/den t^(v+i)."""
+    if den == 1:
+        terms = {v + i: Fraction(c) for i, c in enumerate(x) if c}
+    else:
+        terms = {v + i: Fraction(c, den) for i, c in enumerate(x) if c}
+    out = LaurentPoly.__new__(LaurentPoly)
+    object.__setattr__(out, "_terms", terms)
+    return out
+
+
+def _div_one_minus(x: list[int], b: int) -> list[int] | None:
+    """x / (1 - t^b) by a stride-b running sum, or None when the sum's top b
+    terms, its remainder, are not all zero."""
+    q = list(x)
+    for k in range(b, len(q)):
+        q[k] += q[k - b]
+    n = max(len(x) - b, 0)
+    return None if any(q[n:]) else q[:n]
+
+
+def _binomial_pass(
+    x: list[int], up: Iterable[int], down: Iterable[int] = (), v: int = 0, den: int = 1
+) -> list[int]:
+    """x * prod_(a in up) (1 - t^a) / prod_(b in down) (1 - t^b) on a coefficient
+    list, every a and b positive; (v, den) place x as in `_from_ints` for the
+    message of the ExactDivisionError raised when a quotient is not exact."""
+    for a in up:
+        if a < 1:
+            raise ValueError(f"binomial exponent {a} must be positive")
+        y = x + [0] * a
+        y[a:] = [c - d for c, d in zip(y[a:], x)]
+        x = y
+    for b in down:
+        if b < 1:
+            raise ValueError(f"binomial exponent {b} must be positive")
+        q = _div_one_minus(x, b)
+        if q is None:
+            raise ExactDivisionError(
+                f"({LaurentPoly.one_minus(b)}) does not divide ({_from_ints(x, v, den)})"
+            )
+        x = q
+    return x
+
+
+def times_binomials(
+    p: LaurentPoly, up: Iterable[int] = (), down: Iterable[int] = ()
+) -> LaurentPoly:
+    """p * prod_(a in up) (1 - t^a) / prod_(b in down) (1 - t^b), in one pass on
+    integers: the products first, then the quotients in the order given, each
+    of which raises ExactDivisionError when it leaves a remainder."""
+    x, v, den = _to_ints(p)
+    return _from_ints(_binomial_pass(x, up, down, v, den), v, den)
+
+
 def poly_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
     """Long division a = q*b + r with deg r < deg b, for polynomials."""
     if b.is_zero:
@@ -372,21 +441,6 @@ def poly_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPol
     return LaurentPoly(q), LaurentPoly(r)
 
 
-def _div_one_minus(p: list, e: int) -> list | None:
-    """p / (1 - t^e) on a coefficient list, by a stride-e running sum.
-
-    Returns None when 1 - t^e does not divide p.
-    """
-    n = max(len(p) - e, 0)
-    q = p[:n]
-    for k in range(e, n):
-        q[k] += q[k - e]
-    for k in range(n, len(p)):
-        if p[k] + (q[k - e] if k >= e else 0):
-            return None
-    return q
-
-
 def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """Exact division of Laurent polynomials; raises if b does not divide a."""
     if b.is_zero:
@@ -394,23 +448,6 @@ def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     if a.is_zero:
         return a
     va, vb = a.valuation, b.valuation
-    if len(b._terms) == 2:
-        e = b.degree - vb
-        c = b._terms[vb]
-        if b._terms[vb + e] == -c:
-            # b = c t^vb (1 - t^e): a running sum on integers scaled by the
-            # common denominator of a
-            den = lcm(*(x.denominator for x in a._terms.values()))
-            p = [0] * (a.degree - va + 1)
-            for k, x in a._terms.items():
-                p[k - va] = x.numerator * (den // x.denominator)
-            q = _div_one_minus(p, e)
-            if q is None:
-                raise ExactDivisionError(f"({b}) does not divide ({a})")
-            scale = c * den
-            return LaurentPoly(
-                {va - vb + i: Fraction(x) / scale for i, x in enumerate(q) if x}
-            )
     q, r = poly_divmod(a.shift(-va), b.shift(-vb))
     if not r.is_zero:
         raise ExactDivisionError(f"({b}) does not divide ({a})")
@@ -515,8 +552,10 @@ class DenomSpec:
             raise ValueError("denominator factors must be positive integers")
         object.__setattr__(self, "factors", fs)
 
-    def lcm(self, other: "DenomSpec") -> "DenomSpec":
-        c = Counter(self.factors) | Counter(other.factors)
+    def lcm(self, *others: "DenomSpec") -> "DenomSpec":
+        c = Counter(self.factors)
+        for other in others:
+            c |= Counter(other.factors)
         return DenomSpec(c.elements())
 
     def sub(self, other: "DenomSpec") -> "DenomSpec":
@@ -593,8 +632,7 @@ class RationalFn:
     def __add__(self, other: "RationalFn") -> "RationalFn":
         if not isinstance(other, RationalFn):
             return NotImplemented
-        den = self.den.lcm(other.den)
-        return RationalFn(self.over(den) + other.over(den), den)
+        return fn_sum((self, other))
 
     def __sub__(self, other: "RationalFn") -> "RationalFn":
         return self + (-other)
@@ -610,30 +648,26 @@ class RationalFn:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalFn):
             return NotImplemented
-        den = self.den.lcm(other.den)
-        return self.over(den) == other.over(den)
+        return (self - other).is_zero
 
     # equality ignores the representation, so no consistent hash exists
     __hash__ = None
 
     def over(self, den: DenomSpec) -> LaurentPoly:
-        """The numerator of self written over `den`, a multiple of self.den:
-        multiplied by each extra factor 1 - t^a as p - t^a p."""
-        num = self.num
-        for a in den.sub(self.den):
-            num = num - num.shift(a)
-        return num
+        """The numerator of self written over `den`, a multiple of self.den."""
+        return times_binomials(self.num, den.sub(self.den))
 
     def simplify(self) -> "RationalFn":
         """Cancel denominator factors 1 - t^a that divide the numerator."""
-        num = self.num
+        x, v, scale = _to_ints(self.num)
         kept: list[int] = []
         for a in self.den:  # a zero numerator keeps no factor
-            try:
-                num = exact_div(num, LaurentPoly.one_minus(a))
-            except ExactDivisionError:
+            q = _div_one_minus(x, a)
+            if q is None:
                 kept.append(a)
-        return RationalFn(num, kept)
+            else:
+                x = q
+        return RationalFn(_from_ints(x, v, scale), kept)
 
     def __str__(self) -> str:
         if self.num.is_zero:
@@ -646,31 +680,52 @@ class RationalFn:
         return f"{num} / {self.den}"
 
 
+def fn_sum(fns: Iterable[RationalFn]) -> RationalFn:
+    """The sum of rational functions over the lcm of their denominators: each
+    numerator is multiplied by the binomials its denominator lacks, scaled to
+    one common denominator and added, on integers.  The empty sum is 0."""
+    fns = list(fns)
+    den = DenomSpec().lcm(*[f.den for f in fns])
+    whole = Counter(den.factors)
+    parts = []
+    scale = 1
+    for f in fns:
+        x, v, d = _to_ints(f.num)
+        if x:
+            extra = (whole - Counter(f.den.factors)).elements()
+            parts.append((_binomial_pass(x, extra), v, d))
+            scale = lcm(scale, d)
+    low = min((v for _, v, _ in parts), default=0)
+    acc = [0] * (max((v + len(x) for x, v, _ in parts), default=0) - low)
+    for x, v, d in parts:
+        m = scale // d
+        i = v - low
+        acc[i : i + len(x)] = [s + m * c for s, c in zip(acc[i : i + len(x)], x)]
+    return RationalFn(_from_ints(acc, low, scale), den)
+
+
 def expand(f: RationalFn, up_to: int) -> SeriesWindow:
     """Exact Taylor coefficients of t^0 .. t^up_to of f at t = 0.
 
-    Common 1 - t^a factors between numerator and denominator are cleared
-    by exact division first, so removable singularities are fine; a net
-    pole at t = 0 raises SeriesExpansionError.
+    Each 1 - t^a is a unit of the power series ring, so the series exists
+    exactly when the numerator has no negative exponent (a factor shared
+    with the numerator needs no cancelling first); otherwise
+    SeriesExpansionError names the order of the pole at t = 0.
     """
     if up_to < 0:
         raise ValueError("up_to must be >= 0")
-    g = f.simplify()
-    if g.num and g.num.valuation < 0:
-        raise SeriesExpansionError(
-            f"no power series at t=0: pole of order {-g.num.valuation} remains"
-        )
-    # divide the numerator by one 1 - t^a at a time, each a running sum with
-    # stride a, on integers scaled by the numerator's common denominator
-    scale = lcm(*(c.denominator for c in g.num._terms.values()))
+    x, v, scale = _to_ints(f.num)
+    if v < 0:
+        raise SeriesExpansionError(f"no power series at t=0: pole of order {-v} remains")
+    # the numerator's coefficients through t^up_to, divided by one 1 - t^a
+    # at a time as a running sum with stride a
     out = [0] * (up_to + 1)
-    for e, c in g.num._terms.items():
-        if e <= up_to:
-            out[e] = c.numerator * (scale // c.denominator)
-    for a in g.den:
+    head = x[: max(up_to + 1 - v, 0)]
+    out[v : v + len(head)] = head
+    for a in f.den:
         for i in range(a, up_to + 1):
             out[i] += out[i - a]
-    return SeriesWindow(0, [Fraction(x, scale) for x in out])
+    return SeriesWindow(0, [Fraction(c, scale) for c in out])
 
 
 def is_gorenstein_symmetric(f: RationalFn, k: int, n: int) -> bool:

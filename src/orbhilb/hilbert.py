@@ -34,20 +34,18 @@ from .exactpoly import (
     MathCheckError,
     RationalFn,
     SeriesWindow,
-    exact_div,
     expand,
+    fn_sum,
     is_gorenstein_symmetric,
     is_palindromic,
+    times_binomials,
 )
 from .icecream import OrbifoldPart, p_orb
 
 __all__ = [
     "DecompositionError",
-    "VarietyInput",
     "Decomposition",
     "Basket",
-    "variety_series",
-    "decompose_variety",
     "normalize_basket",
     "hilbert_ci",
     "parse_main",
@@ -83,35 +81,6 @@ def normalize_basket(
 
 
 @dataclass(frozen=True)
-class VarietyInput:
-    """A weighted complete intersection plus its orbifold data."""
-
-    weights: tuple[int, ...]
-    degrees: tuple[int, ...] = ()
-    basket: tuple[tuple[OrbifoldType, int], ...] = ()
-    k_override: int | None = None
-    irregularity: LaurentPoly | None = None
-
-    @property
-    def n(self) -> int:
-        return len(self.weights) - 1 - len(self.degrees)
-
-
-def variety_series(v: VarietyInput) -> tuple[RationalFn, int, int]:
-    """Hilbert series, canonical weight and dimension of a variety record."""
-    P, k, n = hilbert_ci(v.weights, v.degrees)
-    if v.k_override is not None:
-        k = v.k_override
-    return P, k, n
-
-
-def decompose_variety(v: VarietyInput) -> Decomposition:
-    """Parse the Hilbert series of a variety record against its basket."""
-    P, k, n = variety_series(v)
-    return parse_main(P, n, k, v.basket, v.irregularity)
-
-
-@dataclass(frozen=True)
 class Decomposition:
     """Named parts whose sum equals the input Hilbert series exactly."""
 
@@ -127,12 +96,8 @@ class Decomposition:
         return self.initial.num
 
     def total(self) -> RationalFn:
-        out = self.initial
-        if self.irregularity is not None:
-            out = out + RationalFn(self.irregularity, ())
-        for part, mult in self.orbifold_parts:
-            out = out + part.fn * mult
-        return out
+        extra = () if self.irregularity is None else (RationalFn(self.irregularity, ()),)
+        return fn_sum((self.initial, *extra, *(p.fn * m for p, m in self.orbifold_parts)))
 
 
 def hilbert_ci(
@@ -152,11 +117,8 @@ def hilbert_ci(
     n = len(weights) - 1 - len(degrees)
     if n < 1:
         raise InputError(f"dimension n = {n} must be >= 1")
-    num = LaurentPoly.term(1)
-    for d in degrees:
-        num = num * LaurentPoly.one_minus(d)
     k = sum(degrees) - sum(weights)
-    return RationalFn(num, weights), k, n
+    return RationalFn(times_binomials(LaurentPoly.term(1), degrees), weights), k, n
 
 
 def parse_main(
@@ -189,15 +151,10 @@ def parse_main(
         )
     entries = normalize_basket(basket)
     parts = tuple((p_orb(q, k, n), mult) for q, mult in entries)
-    residual = working
-    for part, mult in parts:
-        residual = residual - part.fn * mult
+    residual = fn_sum((working, *(part.fn * -mult for part, mult in parts)))
     c = k + n + 1
-    # A = residual * (1-t)^(n+1), divided by one denominator binomial at a time
-    A = residual.over(residual.den.plus((1,) * (n + 1)))
     try:
-        for a in residual.den:
-            A = exact_div(A, LaurentPoly.one_minus(a))
+        A = times_binomials(residual.num, (1,) * (n + 1), residual.den)
     except ExactDivisionError:
         raise DecompositionError(
             "residual is not of the form A(t)/(1-t)^(n+1); wrong basket, or the "
@@ -308,7 +265,6 @@ def binom_decompose(A: LaurentPoly, k: int, n: int) -> tuple[tuple[int, int], ..
             residual=A,
         )
     nu_min = -k if (-k - n) % 2 == 0 else -k - 1
-    one_minus_t = LaurentPoly.one_minus(1)
     out: list[tuple[int, int]] = []
     R = A
     for nu in range(n, nu_min - 1, -2):
@@ -324,7 +280,7 @@ def binom_decompose(A: LaurentPoly, k: int, n: int) -> tuple[tuple[int, int], ..
         R = R - numer * b
         if nu > nu_min:
             try:
-                R = exact_div(exact_div(R, one_minus_t), one_minus_t)
+                R = times_binomials(R, (), (1, 1))
             except ExactDivisionError:
                 raise DecompositionError(
                     "peeling failed: residual not divisible by (1-t)^2",
@@ -344,15 +300,14 @@ def binom_reassemble(
     coeffs: Iterable[tuple[int, int]], k: int, n: int
 ) -> RationalFn:
     """Sum the standard terms back into a rational function."""
-    total = RationalFn(LaurentPoly(), (1,))
+    terms = [RationalFn(LaurentPoly(), (1,))]
     for nu, b in coeffs:
         numer = _standard_numerator(nu, k, n) * b
         if nu + 1 >= 0:
-            term = RationalFn(numer, (1,) * (nu + 1))
+            terms.append(RationalFn(numer, (1,) * (nu + 1)))
         else:
-            term = RationalFn(numer * LaurentPoly.one_minus(1) ** (-(nu + 1)), ())
-        total = total + term
-    return total
+            terms.append(RationalFn(times_binomials(numer, (1,) * (-(nu + 1))), ()))
+    return fn_sum(terms)
 
 
 def _periodic_loss(r: int, a: int) -> RationalFn:
@@ -380,10 +335,11 @@ def _transverse_series(
     losses = [_periodic_loss(r, a) for r, a in basket]
     # b(r-b)/r is twice the loss coefficient of t, sigma_0 - sigma_1
     degree = 2 * g - 2 + sum((2 * loss.num.coeff(1) for loss in losses), Fraction(0))
-    series = RationalFn(LaurentPoly({0: 1, 1: 1}), (1,) * (n - 1))
-    series = series + RationalFn(LaurentPoly({1: 1, 2: 1}), (1,) * (n + 1)) * (degree / 2)
-    for loss in losses:
-        series = series - RationalFn(loss.num, loss.den.plus((1,) * (n - 2)))
+    series = fn_sum((
+        RationalFn(LaurentPoly({0: 1, 1: 1}), (1,) * (n - 1)),
+        RationalFn(LaurentPoly({1: 1, 2: 1}), (1,) * (n + 1)) * (degree / 2),
+        *(RationalFn(-loss.num, loss.den.plus((1,) * (n - 2))) for loss in losses),
+    ))
     types = [(OrbifoldType(r, (1,) * (n - 2) + (a, r - a)), 1) for r, a in basket]
     dec = parse_main(series, n=n, k=2 - n, basket=types)
     expected = LaurentPoly({0: 1, 1: g - 2, 2: g - 2, 3: 1})

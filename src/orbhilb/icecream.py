@@ -36,8 +36,9 @@ from .exactpoly import (
     LaurentPoly,
     MathCheckError,
     RationalFn,
-    exact_div,
+    _from_ints,
     is_palindromic,
+    times_binomials,
 )
 from .invmod import _cofactor, _fold_to_window, _times_geometric, integer_inverse
 
@@ -139,7 +140,7 @@ def p_orb_general(Q: OrbifoldType, k: int, n: int | None = None) -> OrbifoldPart
     inv = [1] + [0] * (Q.r - 1)
     for a, s in zip(Q.a_list, s_list):
         inv = _times_geometric(inv, a, integer_inverse(a // s, Q.r // s))
-    B = _fold_to_window(inv, h, gamma)
+    B = _from_ints(_fold_to_window(inv, h, gamma), gamma)
     if not B.is_integral:
         raise MathCheckError(
             f"ice cream numerator of {Q} is not integral", check="integrality", residual=B
@@ -173,10 +174,6 @@ def porb_minus_dedekind(Q: OrbifoldType, k: int, n: int | None = None) -> Ration
     sg = sigma(Q)
     r = Q.r
     periodic = LaurentPoly({i: sg[r - i] - sg[0] for i in range(1, r)})
-    one_minus_t = LaurentPoly.one_minus(1)
-    # divide by (1-t^r)/(1-t) as a product with 1-t and a quotient by the
-    # binomial 1-t^r, which exact_div takes by a running sum
-    C = exact_div(
-        (part.numerator - one_minus_t**n * periodic) * one_minus_t, LaurentPoly.one_minus(r)
-    )
+    # dividing by (1-t^r)/(1-t) is a product with 1-t and a quotient by 1-t^r
+    C = times_binomials(part.numerator - times_binomials(periodic, (1,) * n), (1,), (r,))
     return RationalFn(C, (1,) * (n + 1))

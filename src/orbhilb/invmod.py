@@ -13,19 +13,20 @@ integer gamma.
 `build_modulus` needs no gcd.  With g_j = gcd(a_j, r), h is (up to sign)
 lcm_j(1 - t^(g_j)), the product of the cyclotomic factors Phi_e of
 1 - t^r with e dividing some g_j.  Inclusion-exclusion over the gcds of
-the g_j writes it as prod_e (1 - t^e)^(c_e), so h and F are built on
-integer coefficient lists by multiplying by binomials and dividing exactly
-by stride-e running sums.
+the g_j writes it as prod_e (1 - t^e)^(c_e), so A, h and F are products
+and exact quotients of binomials, computed by `exactpoly.times_binomials`
+and its integer pass.
 
 Every class modulo 1 - t^r is put into its window of deg F exponents by
-one routine, `_fold_to_window`: multiply by h, reduce exponents modulo r,
-divide exactly by h.  `inv_mod` inverts an arbitrary A modulo F by the
-extended Euclidean algorithm between two such folds (A into [0, d - 1]
-before, the inverse into [gamma, gamma + d - 1] after, for any integer
-gamma); `dedekind.delta` and the CLI's `invmod` command use it.  The ice
-cream numerators of `icecream.p_orb_general` need no Euclid: they take
-only h (`_cofactor`), multiply closed-form inverses as integer vectors
-modulo 1 - t^r (`_times_geometric`) and fold the product once.
+one routine, `_fold_to_window`, on integers only: multiply by h, reduce
+exponents modulo r, divide exactly by h.  `inv_mod` inverts an arbitrary
+A modulo F by the extended Euclidean algorithm between two such folds
+(A into [0, d - 1] before, the inverse into [gamma, gamma + d - 1] after,
+for any integer gamma); `dedekind.delta` and the CLI's `invmod` command
+use it.  The ice cream numerators of `icecream.p_orb_general` need no
+Euclid: they take only h (`_cofactor`), multiply closed-form inverses as
+integer vectors modulo 1 - t^r (`_times_geometric`) and fold the product
+once.
 """
 
 from __future__ import annotations
@@ -37,9 +38,12 @@ from typing import Sequence
 from .exactpoly import (
     ExactDivisionError,
     LaurentPoly,
-    _div_one_minus,
+    _binomial_pass,
+    _from_ints,
+    _to_ints,
     exact_div,
     poly_ext_gcd,
+    times_binomials,
 )
 
 __all__ = ["ModulusData", "NotCoprimeError", "build_modulus", "inv_mod", "integer_inverse"]
@@ -64,19 +68,6 @@ class ModulusData:
     d: int
 
 
-def _mul_one_minus(p: list[int], e: int) -> list[int]:
-    """p * (1 - t^e) on a coefficient list."""
-    out = p + [0] * e
-    for k, c in enumerate(p):
-        out[k + e] -= c
-    return out
-
-
-def _poly(coeffs: list[int], start: int = 0) -> LaurentPoly:
-    """The Laurent polynomial sum coeffs[i] t^(start + i)."""
-    return LaurentPoly({start + i: c for i, c in enumerate(coeffs) if c})
-
-
 def _binomial_exponents(r: int, a_list: Sequence[int]) -> dict[int, int]:
     """The c_e with lcm_j(1 - t^(g_j)) = +-prod_e (1 - t^e)^(c_e), g_j = gcd(a_j, r).
 
@@ -96,29 +87,19 @@ def _binomial_exponents(r: int, a_list: Sequence[int]) -> dict[int, int]:
     return {e: m for e, m in c.items() if m}
 
 
-def _signed_product(num: list[int], exponents: dict[int, int]) -> list[int]:
-    """(-1)^(1 + sum c_e) * num * prod_e (1 - t^e)^(c_e), every division exact.
-
-    The sign gives h = prod (1 - t^e)^(c_e) leading coefficient -1 and
-    F = (1 - t^r) prod (1 - t^e)^(-c_e) leading coefficient 1.
-    """
-    for e, m in exponents.items():
-        for _ in range(m):
-            num = _mul_one_minus(num, e)
-    for e, m in exponents.items():
-        for _ in range(-m):
-            q = _div_one_minus(num, e)
-            if q is None:
-                raise ExactDivisionError(f"(1 - t^{e}) does not divide the modulus data")
-            num = q
-    if sum(exponents.values()) % 2 == 0:
-        num = [-x for x in num]
-    return num
+def _signed_product(exponents: dict[int, int], top: tuple[int, ...] = ()) -> list[int]:
+    """(-1)^(1 + sum c_e) prod_(a in top) (1 - t^a) prod_e (1 - t^e)^(c_e) as a
+    coefficient list, every division exact.  The sign gives h = prod (1 - t^e)^(c_e)
+    leading coefficient -1 and F = (1 - t^r) prod (1 - t^e)^(-c_e) leading 1."""
+    up = [e for e, m in exponents.items() for _ in range(m)]
+    down = [e for e, m in exponents.items() for _ in range(-m)]
+    x = _binomial_pass([1], [*top, *up], down)
+    return [-c for c in x] if sum(exponents.values()) % 2 == 0 else x
 
 
 def _cofactor(r: int, a_list: Sequence[int]) -> list[int]:
     """h = hcf(1 - t^r, prod(1 - t^a)) with leading coefficient -1."""
-    return _signed_product([1], _binomial_exponents(r, a_list))
+    return _signed_product(_binomial_exponents(r, a_list))
 
 
 def build_modulus(r: int, a_list: Sequence[int]) -> ModulusData:
@@ -131,15 +112,12 @@ def build_modulus(r: int, a_list: Sequence[int]) -> ModulusData:
         raise ValueError("period r must be >= 1")
     if not a_list:
         raise ValueError("a_list must be nonempty")
-    A = [1]
-    for a in a_list:
-        if a < 1:
-            raise ValueError("weights must be positive")
-        A = _mul_one_minus(A, a)
+    if any(a < 1 for a in a_list):
+        raise ValueError("weights must be positive")
     c = _binomial_exponents(r, a_list)
-    h = _signed_product([1], c)
-    F = _signed_product(_mul_one_minus([1], r), {e: -m for e, m in c.items()})
-    return ModulusData(r=r, A=_poly(A), h=_poly(h), F=_poly(F), d=len(F) - 1)
+    A = times_binomials(LaurentPoly.term(1), a_list)
+    F = _signed_product({e: -m for e, m in c.items()}, (r,))
+    return ModulusData(r=r, A=A, h=_from_ints(_signed_product(c)), F=_from_ints(F), d=len(F) - 1)
 
 
 def _times_geometric(x: list[int], a: int, b: int) -> list[int]:
@@ -163,15 +141,16 @@ def _times_geometric(x: list[int], a: int, b: int) -> list[int]:
     return y
 
 
-def _fold_to_window(x: list[int], h: list[int], gamma: int) -> LaurentPoly:
-    """The representative of x modulo F = (1 - t^r)/h in [gamma, gamma + deg F - 1].
+def _fold_to_window(x: list[int], h: list[int], gamma: int) -> list[int]:
+    """The representative of x modulo F = (1 - t^r)/h in [gamma, gamma + deg F - 1],
+    as its coefficient list from t^gamma.
 
     x is a class modulo 1 - t^r as a length-r list (entry i the
     coefficient of the exponents i mod r) and h a coefficient list with
-    h[0] = +-1; the entries may be ints or Fractions, and gamma is any
-    integer.  h*x is reduced modulo 1 - t^r into the exponents
-    [gamma, gamma + r - 1]; that is h times a class of x modulo F, and
-    dividing by h exactly leaves it in a window of r - deg h exponents.
+    h[0] = +-1; every entry is an int, and gamma is any integer.  h*x is
+    reduced modulo 1 - t^r into the exponents [gamma, gamma + r - 1]; that
+    is h times a class of x modulo F, and dividing by h exactly leaves it
+    in a window of r - deg h exponents.
     """
     r = len(x)
     h_terms = [(e, c) for e, c in enumerate(h) if c]
@@ -193,8 +172,8 @@ def _fold_to_window(x: list[int], h: list[int], gamma: int) -> LaurentPoly:
             for e, c in tail:
                 w[k + e] -= q * c
     if any(w[d:]):
-        raise ExactDivisionError(f"({_poly(h)}) does not divide the folded class")
-    return _poly(w[:d], gamma)
+        raise ExactDivisionError(f"({_from_ints(h)}) does not divide the folded class")
+    return w[:d]
 
 
 def integer_inverse(a: int, r: int) -> int:
@@ -204,12 +183,14 @@ def integer_inverse(a: int, r: int) -> int:
     return pow(a % r, -1, r)
 
 
-def _residues(p: LaurentPoly, r: int) -> list:
-    """The class of p modulo 1 - t^r as a length-r list, exponents taken mod r."""
+def _fold(p: LaurentPoly, h: list[int], gamma: int, r: int) -> LaurentPoly:
+    """`_fold_to_window` of p: its integer numerators over their common
+    denominator, summed by exponent modulo r, are folded and divided back."""
+    y, v, den = _to_ints(p)
     x = [0] * r
-    for e, c in p.items():
-        x[e % r] += c
-    return x
+    for i, c in enumerate(y):
+        x[(v + i) % r] += c
+    return _from_ints(_fold_to_window(x, h, gamma), gamma, den)
 
 
 def inv_mod(A: LaurentPoly, F: LaurentPoly, gamma: int, r: int) -> LaurentPoly:
@@ -221,8 +202,8 @@ def inv_mod(A: LaurentPoly, F: LaurentPoly, gamma: int, r: int) -> LaurentPoly:
 
     h = (1 - t^r)/F is integral with h[0] = +-1: a monic divisor of the
     squarefree 1 - t^r is a product of cyclotomic polynomials, and so is h
-    up to sign.  Its coefficients stay Fractions, which `_fold_to_window`
-    takes as they are.
+    up to sign.  So its coefficient list from t^0 is an int list, as
+    `_fold_to_window` needs.
     """
     if not A.is_polynomial or A.is_zero:
         raise ValueError("A must be a nonzero polynomial")
@@ -238,10 +219,10 @@ def inv_mod(A: LaurentPoly, F: LaurentPoly, gamma: int, r: int) -> LaurentPoly:
         h = exact_div(LaurentPoly.one_minus(r), F)
     except ExactDivisionError:
         raise ValueError("t^r must be congruent to 1 modulo F") from None
-    hl = [h.coeff(e) for e in range(h.degree + 1)]
+    hl, _, _ = _to_ints(h)
     # fold A into [0, d - 1] first so the Euclidean step runs on degree
     # < deg F; the inverse is then folded straight into its window
-    low = _fold_to_window(_residues(A, r), hl, 0)
+    low = _fold(A, hl, 0, r)
     if low.is_zero:
         raise NotCoprimeError("A is congruent to 0 modulo F")
     g, u, _ = poly_ext_gcd(low, F)
@@ -249,4 +230,4 @@ def inv_mod(A: LaurentPoly, F: LaurentPoly, gamma: int, r: int) -> LaurentPoly:
         raise NotCoprimeError(
             f"gcd(A, F) = {g} is not a unit; build the modulus with build_modulus first"
         )
-    return _fold_to_window(_residues(u, r), hl, gamma)
+    return _fold(u, hl, gamma, r)

@@ -7,6 +7,7 @@ import pytest
 from orbhilb import LaurentPoly, RationalFn
 from orbhilb.cli import (
     MAX_PERIOD,
+    MAX_POINTS,
     MAX_SERIES,
     fn_from_json,
     fn_to_json,
@@ -104,6 +105,13 @@ class TestParseCommand:
         )
         assert code == 0
         assert payload["series"] == ["1", "0", "0", "0", "0", "1", "0", "1"]
+
+    def test_k_override(self, capsys):
+        code, payload = run_json(
+            capsys, ["parse", "--weights", "5,7", "--k", "-12", "--basket", "1/7(5);1/5(2)"]
+        )
+        assert code == 0
+        assert (payload["k"], payload["n"]) == (-12, 1)
 
 
 class TestDedekindCommand:
@@ -349,30 +357,35 @@ class TestMalformedInputExit2:
     def test_series_must_be_positive(self, capsys, argv, n):
         self.assert_malformed(capsys, argv + ["--series", n])
 
-    @pytest.mark.parametrize("argv", [
-        ["dedekind", "--r", "100000", "--a", "1,2"],
-        ["dedekind", "--r", str(MAX_PERIOD + 1), "--a", "1,2"],
-        ["porb", "--r", str(MAX_PERIOD + 1), "--a", "1,2", "--k", "-3"],
-        ["invmod", "--r", str(MAX_PERIOD + 1), "--a", "1"],
-        ["invmod", "--a-poly", "1+t", "--f-poly", "1+t+t^2", "--period", str(MAX_PERIOD + 1)],
-        ["parse", *X10, "--basket", f"1/{MAX_PERIOD + 1}(1,1,{MAX_PERIOD - 1})"],
-        ["k3", "--genus", "2", "--basket", f"1/2(1,1);1/{MAX_PERIOD + 1}(1,{MAX_PERIOD})"],
-        X40[:-1] + [f"1/{MAX_PERIOD + 1}(2,5,{MAX_PERIOD - 6})"],
-        X40 + ["--curves", f"2,1;{MAX_PERIOD + 1},2"],
-        X40 + ["--curves", f"{MAX_PERIOD + 1},2,1/2", "--mode", "rr"],
-        ["hilbert", *X10, "--series", str(MAX_SERIES + 1)],
+    @pytest.mark.parametrize("argv,limit", [
+        (["dedekind", "--r", "100000", "--a", "1,2"], MAX_PERIOD),
+        (["dedekind", "--r", str(MAX_PERIOD + 1), "--a", "1,2"], MAX_PERIOD),
+        (["porb", "--r", str(MAX_PERIOD + 1), "--a", "1,2", "--k", "-3"], MAX_PERIOD),
+        (["invmod", "--r", str(MAX_PERIOD + 1), "--a", "1"], MAX_PERIOD),
+        (["invmod", "--a-poly", "1+t", "--f-poly", "1+t+t^2", "--period", str(MAX_PERIOD + 1)],
+         MAX_PERIOD),
+        (["parse", *X10, "--basket", f"1/{MAX_PERIOD + 1}(1,1,{MAX_PERIOD - 1})"], MAX_PERIOD),
+        (["k3", "--genus", "2", "--basket", f"1/2(1,1);1/{MAX_PERIOD + 1}(1,{MAX_PERIOD})"],
+         MAX_PERIOD),
+        (["fano3", "--genus", "2", "--basket", f"1/3(1,1,2);{MAX_POINTS}x1/2(1,1,1)"],
+         MAX_POINTS),
+        (X40[:-1] + [f"1/{MAX_PERIOD + 1}(2,5,{MAX_PERIOD - 6})"], MAX_PERIOD),
+        (X40 + ["--curves", f"2,1;{MAX_PERIOD + 1},2"], MAX_PERIOD),
+        (X40 + ["--curves", f"{MAX_PERIOD + 1},2,1/2", "--mode", "rr"], MAX_PERIOD),
+        (["hilbert", *X10, "--series", str(MAX_SERIES + 1)], MAX_SERIES),
     ], ids=["dedekind_r100000", "dedekind", "porb", "invmod", "invmod_period", "parse_basket",
-            "k3_basket", "cy3_points", "cy3_curves", "cy3_curves_rr", "series"])
-    def test_above_input_bound(self, capsys, argv):
+            "k3_basket", "fano3_points", "cy3_points", "cy3_curves", "cy3_curves_rr", "series"])
+    def test_above_input_bound(self, capsys, argv, limit):
         assert run(argv) == 2
         out, err = capsys.readouterr()
         assert out == ""
         diag = json.loads(err)
         assert diag["type"] == "InputError"
-        assert f"above the limit {MAX_SERIES if '--series' in argv else MAX_PERIOD}" in diag["error"]
+        assert f"above the limit {limit}" in diag["error"]
 
     def test_at_input_bound(self, capsys):
         assert run(["porb", "--r", str(MAX_PERIOD), "--a", "1,2", "--k", "-3"]) == 0
+        assert run(["k3", "--genus", "2", "--basket", f"{MAX_POINTS}x1/2(1,1)"]) == 0
         capsys.readouterr()
         code, payload = run_json(capsys, ["hilbert", *self.X10, "--series", str(MAX_SERIES)])
         assert code == 0

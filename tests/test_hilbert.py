@@ -14,10 +14,8 @@ from orbhilb import (
     OrbifoldType,
     RationalFn,
     SeriesWindow,
-    VarietyInput,
     binom_decompose,
     binom_reassemble,
-    decompose_variety,
     degree_from_decomposition,
     expand,
     fano3_series,
@@ -27,7 +25,6 @@ from orbhilb import (
     k3_series,
     p_orb,
     parse_main,
-    variety_series,
 )
 from orbhilb import hilbert
 from conftest import compatible_weight, random_isolated_type
@@ -134,20 +131,6 @@ class TestParseMain:
             dec = parse_main(total, n, k, basket)
             assert dec.initial_numerator == A
             assert dec.total() == total
-
-
-class TestVarietyInput:
-    def test_decompose_variety(self):
-        v = VarietyInput(weights=(1, 1, 2, 2, 3), degrees=(10,), basket=tuple(X10_BASKET))
-        dec = decompose_variety(v)
-        assert dec.initial_numerator == LP({0: 1, 1: -2, 2: 3, 3: 3, 4: -2, 5: 1})
-        assert v.n == 3
-
-    def test_k_override(self):
-        v = VarietyInput(weights=(5, 7), k_override=-12)
-        P, k, n = variety_series(v)
-        assert (k, n) == (-12, 1)
-        assert P == RationalFn(LP.term(1), (5, 7))
 
 
 class TestInitialFromPlurigenera:

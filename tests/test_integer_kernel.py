@@ -1,12 +1,15 @@
 """The integer kernel against the Fraction algorithms it replaced.
 
 `build_modulus`, the ice cream numerator of `p_orb_general`, the folds of
-`inv_mod` and the binomial path of `exact_div` work on integer coefficient
-lists.  The reference implementations below are the earlier ones: h from a
-polynomial gcd, the numerator folded after every product (multiply by h,
-reduce the exponents modulo r, divide by h), `inv_mod` by generic
-remaindering around extended Euclid, and every quotient from
-`poly_divmod`.  Results and error messages must agree exactly.
+`inv_mod`, and every product, quotient and sum over binomial denominators
+(`times_binomials`, `fn_sum`) work on integer coefficient lists.  The
+reference implementations below are the earlier ones: h from a polynomial
+gcd, the numerator folded after every product (multiply by h, reduce the
+exponents modulo r, divide by h), `inv_mod` by generic remaindering around
+extended Euclid, every quotient from `poly_divmod`, `RationalFn.over` as
+p - t^a p per factor on Fraction dicts, and the binomial running sum that
+`exact_div` used to take for a divisor c t^v (1 - t^e).  Results and error
+messages must agree exactly.
 """
 
 from fractions import Fraction
@@ -22,9 +25,11 @@ from orbhilb import (
     MathCheckError,
     NotCoprimeError,
     OrbifoldType,
+    RationalFn,
     build_modulus,
     divides,
     exact_div,
+    fn_sum,
     integer_inverse,
     inv_mod,
     is_palindromic,
@@ -33,7 +38,10 @@ from orbhilb import (
     poly_ext_gcd,
     poly_gcd,
     reduce_to_window,
+    times_binomials,
 )
+from orbhilb.exactpoly import _from_ints, _to_ints
+from orbhilb.invmod import _cofactor, _fold_to_window
 from conftest import small_fractions, small_poly
 
 LP = LaurentPoly
@@ -286,3 +294,160 @@ class TestBinomialExactDiv:
         with pytest.raises(ExactDivisionError) as info:
             exact_div(a, LP.one_minus(2))
         assert str(info.value) == "(1 - t^2) does not divide (1 + t^2 - t^6)"
+
+
+# -- products, quotients and sums over binomial denominators ----------------
+
+
+def ref_over(p, factors):
+    """p times prod (1 - t^a), one factor at a time as p - t^a p."""
+    for a in factors:
+        p = p - p.shift(a)
+    return p
+
+
+def ref_div_one_minus(p, e):
+    """p / (1 - t^e) on a coefficient list, or None when it does not divide."""
+    n = max(len(p) - e, 0)
+    q = p[:n]
+    for k in range(e, n):
+        q[k] += q[k - e]
+    for k in range(n, len(p)):
+        if p[k] + (q[k - e] if k >= e else 0):
+            return None
+    return q
+
+
+def ref_binomial_div(a, b):
+    """a / b for b = c t^vb (1 - t^e): a running sum on integers scaled by
+    the common denominator of a."""
+    if a.is_zero:
+        return a
+    va, vb = a.valuation, b.valuation
+    e = b.degree - vb
+    c = b.coeff(vb)
+    den = 1
+    for _, x in a.items():
+        den = den * x.denominator // gcd(den, x.denominator)
+    p = [0] * (a.degree - va + 1)
+    for k, x in a.items():
+        p[k - va] = x.numerator * (den // x.denominator)
+    q = ref_div_one_minus(p, e)
+    if q is None:
+        raise ExactDivisionError(f"({b}) does not divide ({a})")
+    scale = c * den
+    return LP({va - vb + i: Fraction(x) / scale for i, x in enumerate(q) if x})
+
+
+def ref_times_binomials(p, up, down):
+    p = ref_over(p, up)
+    for b in down:
+        p = ref_binomial_div(p, LP.one_minus(b))
+    return p
+
+
+def ref_fn_sum(fns):
+    """The pairwise fold: each sum puts both numerators over the lcm."""
+    total = RationalFn(LP(), ())
+    for f in fns:
+        den = total.den.lcm(f.den)
+        total = RationalFn(
+            ref_over(total.num, den.sub(total.den)) + ref_over(f.num, den.sub(f.den)), den
+        )
+    return total
+
+
+def division_outcome(f, *args):
+    try:
+        return f(*args)
+    except ExactDivisionError as exc:
+        return ExactDivisionError, str(exc)
+
+
+exponents = st.lists(st.integers(min_value=1, max_value=9), max_size=4)
+
+
+class TestTimesBinomials:
+    @settings(max_examples=300, deadline=None)
+    @given(laurent_factors, exponents, exponents, st.booleans(), st.booleans())
+    @example(LP({-3: Fraction(1, 2), 2: 5}), [], [2], False, False)
+    @example(LP({-3: Fraction(1, 2), 2: 5}), [2, 2], [2, 2, 1], True, False)
+    @example(LP(), [3], [4], False, False)
+    def test_matches_reference(self, p, up, down, divisible, mixed):
+        # a divisible case multiplies p by the divisors first; a mixed one
+        # also lets the same binomials appear among the multipliers
+        quotient = ref_over(p, up)
+        if divisible:
+            p = ref_over(p, down)
+        if mixed:
+            up = up + down[:1]
+            quotient = ref_over(quotient, down[:1])
+        got = division_outcome(times_binomials, p, up, down)
+        assert got == division_outcome(ref_times_binomials, p, up, down)
+        if divisible:
+            assert got == quotient
+
+    @settings(max_examples=100, deadline=None)
+    @given(laurent_factors)
+    def test_int_form_round_trip(self, p):
+        x, v, den = _to_ints(p)
+        assert all(type(c) is int for c in x) and (not x or (x[0] and x[-1]))
+        assert _from_ints(x, v, den) == p
+
+    def test_negative_valuation_quotient(self):
+        p = LP({-5: 2, -3: Fraction(-1, 3), 1: 4})
+        assert times_binomials(ref_over(p, [3, 1]), [], [1, 3]) == p
+
+    @pytest.mark.parametrize("up,down", [((0,), ()), ((-2,), ()), ((), (0,)), ((3,), (-1,))])
+    def test_exponents_must_be_positive(self, up, down):
+        with pytest.raises(ValueError):
+            times_binomials(LP({0: 1, 1: 2}), up, down)
+
+    def test_not_divisible_names_the_binomial(self):
+        with pytest.raises(ExactDivisionError) as info:
+            times_binomials(LP({0: 1, 2: 5}), [], [7])
+        assert str(info.value) == "(1 - t^7) does not divide (1 + 5t^2)"
+
+
+rational_fns = st.builds(
+    RationalFn, laurent_factors, st.lists(st.integers(min_value=1, max_value=9), max_size=4)
+)
+
+
+class TestFnSum:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(rational_fns, max_size=5))
+    @example([])
+    @example([RationalFn(LP({0: 1}), (1, 2)), RationalFn(LP({0: -1}), (2, 1))])
+    def test_matches_pairwise_fold(self, fns):
+        got = fn_sum(fns)
+        want = ref_fn_sum(fns)
+        assert (got.num, got.den) == (want.num, want.den)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rational_fns, rational_fns)
+    def test_add_is_a_two_term_sum(self, f, g):
+        got, want = f + g, ref_fn_sum([f, g])
+        assert (got.num, got.den) == (want.num, want.den)
+
+
+class TestFoldOnIntegers:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=40).flatmap(
+            lambda r: st.tuples(
+                st.just(r),
+                st.lists(st.integers(min_value=1, max_value=3 * r), min_size=1, max_size=4),
+                st.lists(st.integers(min_value=-20, max_value=20), min_size=r, max_size=r),
+                st.integers(min_value=-3 * r, max_value=3 * r),
+            )
+        )
+    )
+    def test_matches_reference_fold(self, case):
+        r, a, x, gamma = case
+        h = _cofactor(r, a)
+        got = _fold_to_window(x, h, gamma)
+        assert all(type(c) is int for c in got)
+        assert len(got) == r - (len(h) - 1)
+        want = ref_fold(LP(dict(enumerate(x))), _from_ints(h), gamma, r)
+        assert _from_ints(got, gamma) == want
