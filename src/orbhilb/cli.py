@@ -11,9 +11,11 @@ includes a weight of 0 mod r, a non-effective action and a broken weight
 congruence); 2 malformed input: an unknown command or flag, a missing or
 non-integer value (--curves included), --r, --period or --series below 1,
 a type 1/r(...) with r < 1, a period above MAX_PERIOD (--r, --period, a
-basket or point type's r, a curve's s), --series above MAX_SERIES, a k3 or
-fano3 basket of more than MAX_POINTS points, or an unparseable basket,
-curve, polynomial or batch file.
+basket or point type's r, a curve's s), --series above MAX_SERIES, a
+basket or point list of more than MAX_POINTS entries (for k3 and fano3,
+points with multiplicities counted), more than MAX_WEIGHTS weights in --a,
+a polynomial flag whose exponents span more than MAX_SPAN, or an
+unparseable basket, curve, polynomial or batch file.
 
 JSON wire format: a Laurent polynomial is a map {"exponent": "num/den"};
 a rational function is {"num": <poly>, "den": [a1, a2, ...]} with the
@@ -59,11 +61,15 @@ _BASKET_ENTRY_RE = re.compile(r"^\s*(?:(\d+)\s*[xX*]\s*)?(1\s*/\s*\d+\s*\([^)]*\
 
 # Input bounds, checked before any work: the largest period (--r, --period,
 # the r of every basket or point type, the s of every curve), the largest
-# --series N and the most points of a k3 or fano3 basket, multiplicities
-# counted.  Near each bound the slowest command takes about 1 s.
+# --series N, the most entries of a basket or point list (for k3 and fano3,
+# the most points, multiplicities counted), the most weights in --a, and the
+# widest exponent span, from t^0, of --numerator, --irregularity, --a-poly
+# and --f-poly.  Near each bound the slowest command takes about 1 s.
 MAX_PERIOD = 100
 MAX_SERIES = 100_000
 MAX_POINTS = 40
+MAX_WEIGHTS = 4
+MAX_SPAN = 30_000
 
 
 def _at_most(value: int, limit: int, what: str) -> None:
@@ -86,6 +92,7 @@ def parse_basket(text: str) -> tuple[tuple[OrbifoldType, int], ...]:
         out.append((q, mult))
     if not out:
         raise InputError(f"empty basket: {text!r}")
+    _at_most(len(out), MAX_POINTS, "number of basket entries")
     return tuple(out)
 
 
@@ -94,6 +101,22 @@ def _int_list(text: str) -> tuple[int, ...]:
         return tuple(int(x) for x in text.split(","))
     except ValueError:
         raise InputError(f"expected a comma-separated integer list, got {text!r}") from None
+
+
+def _weights(text: str) -> tuple[int, ...]:
+    """The --a weights of dedekind, porb and invmod ("" is the empty list)."""
+    weights = _int_list(text) if text else ()
+    _at_most(len(weights), MAX_WEIGHTS, "number of --a weights")
+    return weights
+
+
+def _poly(text: str, flag: str) -> LaurentPoly:
+    """A polynomial flag, its exponents within MAX_SPAN of each other and t^0."""
+    p = LaurentPoly.parse(text)
+    if not p.is_zero:
+        span = max(p.degree, 0) - min(p.valuation, 0)
+        _at_most(span, MAX_SPAN, f"exponent span of {flag}")
+    return p
 
 
 def _fraction(text: str) -> Fraction:
@@ -185,7 +208,7 @@ def _variety_series(args) -> tuple[RationalFn, int, int]:
     weights = _int_list(args.weights)
     degrees = _int_list(args.degrees) if args.degrees else ()
     if args.numerator:
-        P = RationalFn(LaurentPoly.parse(args.numerator), weights)
+        P = RationalFn(_poly(args.numerator, "--numerator"), weights)
         if args.k is None:
             raise InputError("--k is required with an explicit --numerator")
         k, n = args.k, len(weights) - 1 - len(degrees)
@@ -224,7 +247,7 @@ def _decomposition_payload(dec, P) -> dict:
 def _cmd_parse(args) -> _Result:
     P, k, n = _variety_series(args)
     basket = parse_basket(args.basket) if args.basket else ()
-    irregularity = LaurentPoly.parse(args.irregularity) if args.irregularity else None
+    irregularity = _poly(args.irregularity, "--irregularity") if args.irregularity else None
     dec = parse_main(P, n, k, basket, irregularity)
     payload = _decomposition_payload(dec, P)
     lines = [
@@ -238,9 +261,9 @@ def _cmd_parse(args) -> _Result:
 
 
 def _cmd_porb(args) -> _Result:
-    q = OrbifoldType(args.r, _int_list(args.a) if args.a else ())  # --a "": 1/1()
+    q = OrbifoldType(args.r, _weights(args.a))  # --a "": 1/1()
     n = args.n if args.n is not None else q.n
-    part = p_orb_general(q, args.k, n) if (args.general or not q.is_isolated) else p_orb(q, args.k, n)
+    part = p_orb(q, args.k, n) if q.is_isolated else p_orb_general(q, args.k, n)
     payload = {
         "type": q.label(),
         "k": args.k,
@@ -254,7 +277,7 @@ def _cmd_porb(args) -> _Result:
 
 
 def _cmd_dedekind(args) -> _Result:
-    q = OrbifoldType(args.r, _int_list(args.a) if args.a else ())  # --a "": 1/1()
+    q = OrbifoldType(args.r, _weights(args.a))  # --a "": 1/1()
     sg = sigma(q)
     d = delta(q)
     payload = {
@@ -273,8 +296,8 @@ def _cmd_invmod(args) -> _Result:
     if args.a_poly or args.f_poly:
         if not (args.a_poly and args.f_poly and args.period):
             raise InputError("--a-poly, --f-poly and --period must be given together")
-        A = LaurentPoly.parse(args.a_poly)
-        F = LaurentPoly.parse(args.f_poly)
+        A = _poly(args.a_poly, "--a-poly")
+        F = _poly(args.f_poly, "--f-poly")
         B = inv_mod(A, F, args.gamma, args.period)
         payload = {"A": poly_to_json(A), "F": poly_to_json(F), "gamma": args.gamma,
                    "inverse": poly_to_json(B)}
@@ -282,7 +305,7 @@ def _cmd_invmod(args) -> _Result:
     else:
         if not (args.r and args.a):
             raise InputError("give either --r/--a or --a-poly/--f-poly/--period")
-        md = build_modulus(args.r, _int_list(args.a))
+        md = build_modulus(args.r, _weights(args.a))
         B = inv_mod(md.A, md.F, args.gamma, md.r)
         payload = {
             "r": md.r,
@@ -371,7 +394,7 @@ def _cmd_cy3(args) -> _Result:
                  "A": fn_to_json(cp.a_part), "B_numerator": poly_to_json(cp.b_numerator)}
                 for cp in ice.curve_parts
             ],
-            "sum_matches_input": True,  # cy3_ice_parts checked the reassembly
+            "sum_matches_input": True,  # parse_main's exact checks imply it
         }
         lines = [f"P = {P}", f"P_I = {ice.initial}", *_porb_lines(ice.point_parts, 0)]
         for cp in ice.curve_parts:
@@ -420,7 +443,7 @@ def _cmd_cy3(args) -> _Result:
 def _cmd_verify(args) -> _Result:
     P, k, n = _variety_series(args)
     basket = parse_basket(args.basket) if args.basket else ()
-    irregularity = LaurentPoly.parse(args.irregularity) if args.irregularity else None
+    irregularity = _poly(args.irregularity, "--irregularity") if args.irregularity else None
     checks: list[dict[str, Any]] = []
 
     ok_sym = is_gorenstein_symmetric(P, k, n)
@@ -520,8 +543,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True, help="weights a1,...,an")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int)
-    p.add_argument("--general", action="store_true",
-                   help="force the generalized (noncoprime) form")
     p.set_defaults(func=_cmd_porb)
 
     p = sub.add_parser("dedekind", help="Dedekind sums sigma_i and Delta")

@@ -25,10 +25,12 @@ a1+a2+a3 == 0 mod r:
   P = P_I + sum P_orb(Q, 0) + sum A_C + sum B_C, where A_C is
   delta_C * P_orb((1/s)(a,s-a), s)/(1-t^s) with an integer delta_C, and
   Num B_C is integral palindromic of degree s+3 supported in [3, s].
-  The unknowns (delta_C and the Num B_C coefficients) are recovered by an
-  exact linear solve over Q and all integrality constraints are verified
-  afterwards; dissident points are absorbed by the generalized ice cream
-  at the point strata.
+  The split is `hilbert.parse_main` with the A_C and B_C basis as its
+  strata columns: it solves the unknowns (delta_C and the Num B_C
+  coefficients) exactly over Q and checks that the rest is an integral
+  palindromic initial part; the integrality of each curve's unknowns is
+  verified here afterwards.  Dissident points are absorbed by the
+  generalized ice cream at the point strata.
 """
 
 from __future__ import annotations
@@ -39,21 +41,15 @@ from math import gcd
 from typing import Sequence
 
 from .dedekind import OrbifoldType, delta, sigma
-from .exactpoly import (
-    LaurentPoly,
-    RationalFn,
-    expand,
-    fn_sum,
-    is_gorenstein_symmetric,
-    times_binomials,
-)
+from .exactpoly import LaurentPoly, RationalFn, fn_sum, times_binomials
 from .hilbert import (
     Basket,
     DecompositionError,
-    initial_from_plurigenera,
+    _solve_exact,
     normalize_basket,
+    parse_main,
 )
-from .icecream import OrbifoldPart, p_orb, p_orb_general
+from .icecream import OrbifoldPart, p_orb
 from .invmod import inv_mod
 
 __all__ = [
@@ -189,51 +185,6 @@ def cy3_rr_parts(
     )
 
 
-def _solve_exact(
-    columns: Sequence[RationalFn], target: RationalFn, what: str
-) -> list[Fraction]:
-    """Solve sum x_j columns[j] == target exactly over one common denominator;
-    unique solution required."""
-    den = target.den.lcm(*[fn.den for fn in columns])
-    nums = [fn.over(den) for fn in columns]
-    rhs = target.over(den)
-    exps: set[int] = set(rhs._terms)
-    for c in nums:
-        exps |= set(c._terms)
-    rows = [[c.coeff(e) for c in nums] + [rhs.coeff(e)] for e in sorted(exps)]
-    ncols = len(columns)
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][col]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    if r < ncols:
-        raise DecompositionError(
-            f"{what}: linear system is underdetermined (rank {r} < {ncols} unknowns)",
-            check="linear_solve",
-        )
-    if any(all(x == 0 for x in row[:ncols]) and row[ncols] != 0 for row in rows):
-        raise DecompositionError(
-            f"{what}: linear system is inconsistent; the strata data do not "
-            "match the series",
-            check="linear_solve",
-        )
-    sol = [Fraction(0)] * ncols
-    for i, col in enumerate(pivots):
-        sol[col] = rows[i][ncols]
-    return sol
-
-
 def cy3_rr_fit(
     P: RationalFn,
     points: Basket = (),
@@ -326,19 +277,13 @@ def cy3_ice_parts(
 ) -> CY3IceParts:
     """Split a CY3 Hilbert series into integral Gorenstein-symmetric parts.
 
-    P must be Gorenstein symmetric with k = 0, n = 3.  The initial part
-    comes from the plurigenera P_0..P_2; point parts are generalized ice
-    cream (dissident points included); per curve (s, a) the integer
-    delta_C and the palindromic Num B_C (symmetric degree s+3, support
-    [3, s]) are found by exact linear solve.  Non-integral solutions or a
-    failed reassembly raise DecompositionError: the strata data are wrong.
+    `parse_main` with k = 0, n = 3 does the split: point parts are
+    generalized ice cream (dissident points included), and per curve (s, a)
+    the A_C column and the palindromic Num B_C basis (symmetric degree
+    s+3, support [3, s]) are its strata columns, whose coefficients it
+    solves exactly.  Non-integral delta_C or Num B_C coefficients raise
+    DecompositionError: the strata data are wrong.
     """
-    if not is_gorenstein_symmetric(P, 0, 3):
-        raise DecompositionError(
-            "series is not Gorenstein symmetric with k = 0, n = 3",
-            check="gorenstein_symmetry",
-            residual=P,
-        )
     strata = [c if isinstance(c, CurveStratum) else CurveStratum(c[0], c[1]) for c in curves]
     seen: set[int] = set()
     for c in strata:
@@ -350,45 +295,26 @@ def cy3_ice_parts(
             )
         seen.add(c.s)
     entries = _check_points(points)
-    initial = initial_from_plurigenera(expand(P, 2), 0, 3)
-    point_parts = tuple((p_orb_general(q, 0, 3), mult) for q, mult in entries)
-    residual = fn_sum((P, -initial, *(part.fn * -mult for part, mult in point_parts)))
 
     columns: list[RationalFn] = []
-    layout: list[tuple[CurveStratum, OrbifoldPart, int]] = []
     for c in strata:
         pb = p_orb(c.transverse_type, c.s, 2)
         columns.append(RationalFn(pb.numerator, pb.fn.den.plus((c.s,))))
-        nb = len(_b_support(c.s))
-        for _, mono in _b_support(c.s):
-            columns.append(RationalFn(mono, (1, 1, 1, c.s)))
-        layout.append((c, pb, nb))
+        columns.extend(RationalFn(mono, (1, 1, 1, c.s)) for _, mono in _b_support(c.s))
+    dec = parse_main(P, 3, 0, entries, columns=columns)
 
-    if columns:
-        sol = _solve_exact(columns, residual, "cy3_ice_parts")
-    else:
-        if not residual.is_zero:
-            raise DecompositionError(
-                "no curve strata given but the residual after the initial and "
-                "point parts is nonzero",
-                check="reassembly",
-                residual=residual.simplify(),
-            )
-        sol = []
-
+    solved = iter(dec.strata_parts)
     curve_parts: list[CurveIcePart] = []
-    pos = 0
-    for c, pb, nb in layout:
-        dc = sol[pos]
-        coeffs = sol[pos + 1 : pos + 1 + nb]
-        pos += 1 + nb
+    for c in strata:
+        a_column, dc = next(solved)
         if dc.denominator != 1:
             raise DecompositionError(
                 f"delta for the 1/{c.s} curve is not an integer: {dc}",
                 check="integrality",
             )
         b_num = LaurentPoly()
-        for (e, mono), v in zip(_b_support(c.s), coeffs):
+        for e, mono in _b_support(c.s):
+            _, v = next(solved)
             if v.denominator != 1:
                 raise DecompositionError(
                     f"Num B coefficient t^{e} for the 1/{c.s} curve is not an "
@@ -396,18 +322,8 @@ def cy3_ice_parts(
                     check="integrality",
                 )
             b_num = b_num + mono * v
-        a_part = RationalFn(pb.numerator * dc, pb.fn.den.plus((c.s,)))
         b_part = RationalFn(b_num, (1, 1, 1, c.s))
-        curve_parts.append(CurveIcePart(c, int(dc), a_part, b_num, b_part))
-
-    result = CY3IceParts(
-        initial=initial, point_parts=point_parts, curve_parts=tuple(curve_parts)
+        curve_parts.append(CurveIcePart(c, int(dc), a_column * dc, b_num, b_part))
+    return CY3IceParts(
+        initial=dec.initial, point_parts=dec.orbifold_parts, curve_parts=tuple(curve_parts)
     )
-    mismatch = P - result.total()
-    if not mismatch.is_zero:
-        raise DecompositionError(
-            "ice cream parts do not reassemble the series; the strata data are wrong",
-            check="reassembly",
-            residual=mismatch.simplify(),
-        )
-    return result

@@ -2,15 +2,18 @@
 
 The central operation is `parse_main`: given a Gorenstein-symmetric
 Hilbert series P of a polarized n-fold of canonical weight k and a basket
-of isolated orbifold points, split
+of orbifold points, split
 
-    P = P_I + sum of multiplicities * P_orb(Q, k),
+    P = P_I + sum of multiplicities * P_orb(Q, k) + sum x_j * columns[j],
 
 where the initial part P_I = A(t)/(1-t)^(n+1) has A integral and
-palindromic of degree c = k+n+1 (P_I = 0 when c < 0).  The parse is a
-verification tool: a wrong basket, a non-Gorenstein input or an
-unsupported positive-dimensional stratum shows up as a named check
-failure with the offending residual attached.
+palindromic of degree c = k+n+1 (P_I = 0 when c < 0).  Points on curve
+strata take the generalized ice cream form; the parts of the
+positive-dimensional strata themselves are given as columns whose
+coefficients x_j are found by exact linear solve (see `cy3` for the
+curve columns of a Calabi-Yau 3-fold).  The parse is a verification
+tool: a wrong basket, a non-Gorenstein input or a stratum with no column
+shows up as a named check failure with the offending residual attached.
 
 Also here: the unique initial part from the first floor(c/2)+1 plurigenera,
 the decomposition of A/(1-t)^(n+1) into integral combinations of standard
@@ -40,7 +43,7 @@ from .exactpoly import (
     is_palindromic,
     times_binomials,
 )
-from .icecream import OrbifoldPart, p_orb
+from .icecream import OrbifoldPart, p_orb, p_orb_general
 
 __all__ = [
     "DecompositionError",
@@ -90,6 +93,8 @@ class Decomposition:
     n: int
     c: int
     irregularity: LaurentPoly | None = None
+    # (column, solved coefficient) per column of a positive-dimensional stratum
+    strata_parts: tuple[tuple[RationalFn, Fraction], ...] = ()
 
     @property
     def initial_numerator(self) -> LaurentPoly:
@@ -97,7 +102,12 @@ class Decomposition:
 
     def total(self) -> RationalFn:
         extra = () if self.irregularity is None else (RationalFn(self.irregularity, ()),)
-        return fn_sum((self.initial, *extra, *(p.fn * m for p, m in self.orbifold_parts)))
+        return fn_sum((
+            self.initial,
+            *extra,
+            *(p.fn * m for p, m in self.orbifold_parts),
+            *(col * x for col, x in self.strata_parts),
+        ))
 
 
 def hilbert_ci(
@@ -127,10 +137,15 @@ def parse_main(
     k: int,
     basket: Basket,
     irregularity: LaurentPoly | None = None,
+    columns: Sequence[RationalFn] = (),
 ) -> Decomposition:
     """Split P into initial part plus ice cream, verifying every claim.
 
-    Raises DecompositionError naming the failed check (gorenstein_symmetry,
+    Basket points on curve strata take the generalized ice cream form.
+    `columns` are the parts of positive-dimensional strata, vanishing
+    through t^floor(c/2); their coefficients are solved exactly once the
+    initial part is read off the plurigenera.  Raises DecompositionError
+    naming the failed check (gorenstein_symmetry, linear_solve,
     residual_denominator, initial_vanishing, integrality, palindromy) and
     carrying the offending residual.
     """
@@ -150,9 +165,20 @@ def parse_main(
             residual=working,
         )
     entries = normalize_basket(basket)
-    parts = tuple((p_orb(q, k, n), mult) for q, mult in entries)
+    parts = tuple(
+        (p_orb(q, k, n) if q.is_isolated else p_orb_general(q, k, n), mult)
+        for q, mult in entries
+    )
     residual = fn_sum((working, *(part.fn * -mult for part, mult in parts)))
     c = k + n + 1
+    strata: tuple[tuple[RationalFn, Fraction], ...] = ()
+    if columns:
+        initial = RationalFn(LaurentPoly(), ())  # P_I = 0 when c < 0
+        if c >= 0:
+            initial = initial_from_plurigenera(expand(working, c // 2), k, n)
+        sol = _solve_exact(columns, residual - initial, "parse_main")
+        strata = tuple(zip(columns, sol))
+        residual = fn_sum((residual, *(col * -x for col, x in strata)))
     try:
         A = times_binomials(residual.num, (1,) * (n + 1), residual.den)
     except ExactDivisionError:
@@ -190,7 +216,53 @@ def parse_main(
         n=n,
         c=c,
         irregularity=irregularity,
+        strata_parts=strata,
     )
+
+
+def _solve_exact(
+    columns: Sequence[RationalFn], target: RationalFn, what: str
+) -> list[Fraction]:
+    """Solve sum x_j columns[j] == target exactly over one common denominator;
+    unique solution required."""
+    den = target.den.lcm(*[fn.den for fn in columns])
+    nums = [fn.over(den) for fn in columns]
+    rhs = target.over(den)
+    exps: set[int] = set(rhs._terms)
+    for c in nums:
+        exps |= set(c._terms)
+    rows = [[c.coeff(e) for c in nums] + [rhs.coeff(e)] for e in sorted(exps)]
+    ncols = len(columns)
+    pivots: list[int] = []
+    r = 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        pv = rows[r][col]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+    if r < ncols:
+        raise DecompositionError(
+            f"{what}: linear system is underdetermined (rank {r} < {ncols} unknowns)",
+            check="linear_solve",
+        )
+    if any(all(x == 0 for x in row[:ncols]) and row[ncols] != 0 for row in rows):
+        raise DecompositionError(
+            f"{what}: linear system is inconsistent; the strata data do not "
+            "match the series",
+            check="linear_solve",
+        )
+    sol = [Fraction(0)] * ncols
+    for i, col in enumerate(pivots):
+        sol[col] = rows[i][ncols]
+    return sol
 
 
 def initial_from_plurigenera(window: SeriesWindow, k: int, n: int) -> RationalFn:

@@ -9,6 +9,8 @@ from orbhilb.cli import (
     MAX_PERIOD,
     MAX_POINTS,
     MAX_SERIES,
+    MAX_SPAN,
+    MAX_WEIGHTS,
     fn_from_json,
     fn_to_json,
     parse_basket,
@@ -92,6 +94,12 @@ class TestParseCommand:
         diag = json.loads(capsys.readouterr().err)
         assert "check" in diag
 
+    def test_non_isolated_entry_exit_1(self, capsys):
+        code = run(["parse", "--weights", "2,5,8,10,15", "--degrees", "40",
+                    "--basket", "1/15(2,5,8)"])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err)["check"] == "residual_denominator"
+
     def test_malformed_basket_exit_2(self, capsys):
         code = run(
             ["parse", "--weights", "1,1,2,2,3", "--degrees", "10", "--basket", "wat"]
@@ -144,6 +152,11 @@ class TestPorbCommand:
 
     def test_bad_weight_congruence_exit_1(self, capsys):
         assert run(["porb", "--r", "7", "--a", "5", "--k", "1"]) == 1
+
+    def test_no_general_flag(self, capsys):
+        # the form follows the type; forcing it is an unknown flag
+        assert run(["porb", "--r", "7", "--a", "5", "--k", "1", "--general"]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_trivial_type(self, capsys):
         code, payload = run_json(capsys, ["porb", "--r", "1", "--a", "", "--k", "0"])
@@ -222,6 +235,14 @@ class TestCY3Command:
         )
         assert code == 1
 
+    def test_no_curves_wrong_points_exit_1(self, capsys):
+        # X8 in P(1,1,1,2,3) has one 1/3(1,1,1) point; without it the pole
+        # at the cube roots of unity is left over
+        assert run(["cy3", "--weights", "1,1,1,2,3", "--degrees", "8", "--json"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err)["check"] == "residual_denominator"
+
     def test_rr_mode_requires_both_scalars(self, capsys):
         code = run(
             ["cy3", "--weights", "2,5,8,10,15", "--degrees", "40",
@@ -277,6 +298,55 @@ class TestBatch:
 
     def test_batch_missing_file(self, capsys):
         assert run(["batch", "/nonexistent/jobs.json"]) == 2
+
+
+X10_ARGS = ["--weights", "1,1,2,2,3", "--degrees", "10"]
+X40_ARGS = ["--weights", "2,5,8,10,15", "--degrees", "40", "--curves", "2,1;5,2"]
+
+
+def _entries(true_basket: list[str], m: int) -> str:
+    """A true basket spelled as m entries; the padding has multiplicity 0."""
+    return ";".join(true_basket + ["0x" + true_basket[0]] * (m - len(true_basket)))
+
+
+X10_BASKET = ["1/3(1,2,2)"] + ["1/2(1,1,1)"] * 5
+
+# bound: (argv with the bounded quantity equal to m, the limit, exit code at the limit)
+BOUND_EDGES = {
+    "parse_entries": (lambda m: ["parse", *X10_ARGS, "--basket", _entries(X10_BASKET, m)],
+                      MAX_POINTS, 0),
+    "verify_entries": (lambda m: ["verify", *X10_ARGS, "--basket", _entries(X10_BASKET, m)],
+                       MAX_POINTS, 0),
+    "cy3_point_entries": (lambda m: ["cy3", *X40_ARGS, "--points", _entries(["1/15(2,5,8)"], m)],
+                          MAX_POINTS, 0),
+    "dedekind_weights": (lambda m: ["dedekind", "--r", "7", "--a", ",".join(["1"] * m)],
+                         MAX_WEIGHTS, 0),
+    "porb_weights": (lambda m: ["porb", "--r", "7", "--a", ",".join(["1"] * m), "--k", str(-m)],
+                     MAX_WEIGHTS, 0),
+    "invmod_weights": (lambda m: ["invmod", "--r", "7", "--a", ",".join(["1"] * m)],
+                       MAX_WEIGHTS, 0),
+    "numerator_span": (lambda m: ["parse", "--weights", "1,1,1", "--numerator", f"1+t^{m}",
+                                  "--k", str(m - 3)], MAX_SPAN, 0),
+    # t^-m breaks the symmetry of P - J: a check fails, the input is accepted
+    "irregularity_span": (lambda m: ["parse", *X10_ARGS, "--irregularity", f"t^-{m}"],
+                          MAX_SPAN, 1),
+    "a_poly_span": (lambda m: ["invmod", "--a-poly", f"t^{m}", "--f-poly", "1+t+t^2",
+                               "--period", "3"], MAX_SPAN, 0),
+    # 1 + t^m does not divide 1 - t^3: a check fails, the input is accepted
+    "f_poly_span": (lambda m: ["invmod", "--a-poly", "1+t", "--f-poly", f"1+t^{m}",
+                               "--period", "3"], MAX_SPAN, 1),
+}
+
+
+@pytest.mark.parametrize("name", BOUND_EDGES)
+def test_input_bound_edge(capsys, name):
+    build, limit, code = BOUND_EDGES[name]
+    assert run(build(limit)) == code
+    capsys.readouterr()
+    assert run(build(limit + 1)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"above the limit {limit}" in json.loads(err)["error"]
 
 
 class TestExitCodes:

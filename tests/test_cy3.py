@@ -192,6 +192,12 @@ class TestNoCurves:
         assert [p.fn for p, _ in ice.point_parts] == [p.fn for p, _ in dec.orbifold_parts]
         assert ice.total() == P
 
+    def test_wrong_points_leave_a_pole(self):
+        P, _, _ = hilbert_ci((1, 1, 1, 2, 3), (8,))
+        with pytest.raises(DecompositionError) as err:
+            cy3_ice_parts(P, [], [])
+        assert err.value.check == "residual_denominator"
+
 
 class TestX80:
     POINTS = [

@@ -82,6 +82,24 @@ class TestParseMain:
         assert residual.num == LP({0: 1, 1: 1, 2: 1, 3: 5, 4: 9, 5: 9, 6: 5, 7: 1, 8: 1, 9: 1})
         assert residual.den.factors == (1, 2, 2, 3)
 
+    def test_strata_column_solved_and_summed(self):
+        # the 1/2 points of X10 given as a column: its coefficient is their
+        # multiplicity, and total() includes the solved part
+        P, k, n = hilbert_ci((1, 1, 2, 2, 3), (10,))
+        half = p_orb(OrbifoldType(2, (1, 1, 1)), k, n).fn
+        dec = parse_main(P, n, k, X10_BASKET[1:], columns=[half])
+        assert dec.strata_parts == ((half, 5),)
+        assert dec.initial == parse_main(P, n, k, X10_BASKET).initial
+        assert dec.total() == P
+
+    def test_non_isolated_entry_diagnosed(self):
+        # 1/15(2,5,8) of X40 lies on two curves; with no curve columns the
+        # curve poles are left over
+        P, k, n = hilbert_ci((2, 5, 8, 10, 15), (40,))
+        with pytest.raises(DecompositionError) as err:
+            parse_main(P, n, k, [(OrbifoldType(15, (2, 5, 8)), 1)])
+        assert err.value.check == "residual_denominator"
+
     def test_non_gorenstein_rejected(self):
         bad = RationalFn(LP({0: 1, 1: 1}), (1, 2))
         with pytest.raises(DecompositionError) as err:
