@@ -8,14 +8,16 @@ of its main series.
 Exit codes: 0 success; 1 a mathematical check failed (a structured JSON
 diagnostic naming the check and the offending residual is printed; this
 includes a weight of 0 mod r, a non-effective action and a broken weight
-congruence); 2 malformed input: an unknown command or flag, a missing or
-non-integer value (--curves included), --r, --period or --series below 1,
-a type 1/r(...) with r < 1, a period above MAX_PERIOD (--r, --period, a
-basket or point type's r, a curve's s), --series above MAX_SERIES, a
-basket or point list of more than MAX_POINTS entries (for k3 and fano3,
-points with multiplicities counted), more than MAX_WEIGHTS weights in --a,
-a polynomial flag whose exponents span more than MAX_SPAN, or an
-unparseable basket, curve, polynomial or batch file.
+congruence, of any point type); 2 malformed input: an unknown command or
+flag, a missing or non-integer value (--curves included), --r, --period or
+--series below 1, a type 1/r(...) with r < 1, a genus below 1 - n (k3,
+fano3), a cy3 point without three weights or a curve with s < 2, a period
+above MAX_PERIOD (--r, --period, a basket or point type's r, a curve's s),
+--series above MAX_SERIES, a basket or point list of more than MAX_POINTS
+entries (for k3 and fano3, points with multiplicities counted), more than
+MAX_WEIGHTS weights in --a, a polynomial flag whose exponents span more
+than MAX_SPAN or --weights or --degrees summing to more than MAX_SPAN, or
+an unparseable basket, curve, polynomial or batch file.
 
 JSON wire format: a Laurent polynomial is a map {"exponent": "num/den"};
 a rational function is {"num": <poly>, "den": [a1, a2, ...]} with the
@@ -33,7 +35,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Any, Sequence
 
-from .cy3 import CurveStratum, cy3_ice_parts, cy3_rr_fit, cy3_rr_parts
+from .cy3 import CurveStratum, check_reassembly, cy3_ice_parts, cy3_rr_fit, cy3_rr_parts
 from .dedekind import OrbifoldType, delta, sigma
 from .exactpoly import (
     DenomSpec,
@@ -42,7 +44,6 @@ from .exactpoly import (
     MathCheckError,
     RationalFn,
     expand,
-    is_gorenstein_symmetric,
 )
 from .hilbert import (
     degree_from_decomposition,
@@ -51,7 +52,7 @@ from .hilbert import (
     k3_series,
     parse_main,
 )
-from .icecream import p_orb, p_orb_general
+from .icecream import p_orb
 from .invmod import build_modulus, inv_mod
 
 __all__ = ["run", "main", "render", "parse_basket", "poly_to_json", "poly_from_json",
@@ -64,7 +65,8 @@ _BASKET_ENTRY_RE = re.compile(r"^\s*(?:(\d+)\s*[xX*]\s*)?(1\s*/\s*\d+\s*\([^)]*\
 # --series N, the most entries of a basket or point list (for k3 and fano3,
 # the most points, multiplicities counted), the most weights in --a, and the
 # widest exponent span, from t^0, of --numerator, --irregularity, --a-poly
-# and --f-poly.  Near each bound the slowest command takes about 1 s.
+# and --f-poly (and the sums of --weights and of --degrees).  Near each
+# bound the slowest command takes about 1 s.
 MAX_PERIOD = 100
 MAX_SERIES = 100_000
 MAX_POINTS = 40
@@ -197,16 +199,24 @@ def _porb_lines(parts, k: int) -> list[str]:
     return [f"P_orb({part.source.label()}, {k}) x{mult} = {part.fn}" for part, mult in parts]
 
 
+def _ci_lists(args) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """--weights and --degrees, each summing to at most MAX_SPAN."""
+    weights = _int_list(args.weights)
+    degrees = _int_list(args.degrees) if args.degrees else ()
+    _at_most(sum(weights), MAX_SPAN, "sum of --weights")
+    _at_most(sum(degrees), MAX_SPAN, "sum of --degrees")
+    return weights, degrees
+
+
 def _cmd_hilbert(args) -> _Result:
-    P, k, n = hilbert_ci(_int_list(args.weights), _int_list(args.degrees) if args.degrees else ())
+    P, k, n = hilbert_ci(*_ci_lists(args))
     payload = {"fn": fn_to_json(P), "k": k, "n": n}
     lines = [f"P = {P}", f"k = {k}", f"n = {n}"]
     return _Result(payload, lines, P)
 
 
 def _variety_series(args) -> tuple[RationalFn, int, int]:
-    weights = _int_list(args.weights)
-    degrees = _int_list(args.degrees) if args.degrees else ()
+    weights, degrees = _ci_lists(args)
     if args.numerator:
         P = RationalFn(_poly(args.numerator, "--numerator"), weights)
         if args.k is None:
@@ -219,7 +229,7 @@ def _variety_series(args) -> tuple[RationalFn, int, int]:
     return P, k, (n if args.n is None else args.n)
 
 
-def _decomposition_payload(dec, P) -> dict:
+def _decomposition_payload(dec) -> dict:
     c = dec.c
     init = dec.initial_numerator
     coeffs = [] if init.is_zero else [int(init.coeff(i)) for i in range(c + 1)]
@@ -240,7 +250,7 @@ def _decomposition_payload(dec, P) -> dict:
             for part, mult in dec.orbifold_parts
         ],
         "degree": str(degree_from_decomposition(dec)),
-        "sum_matches_input": dec.total() == P,
+        "sum_matches_input": True,  # parse_main's exact checks imply it
     }
 
 
@@ -249,7 +259,7 @@ def _cmd_parse(args) -> _Result:
     basket = parse_basket(args.basket) if args.basket else ()
     irregularity = _poly(args.irregularity, "--irregularity") if args.irregularity else None
     dec = parse_main(P, n, k, basket, irregularity)
-    payload = _decomposition_payload(dec, P)
+    payload = _decomposition_payload(dec)
     lines = [
         f"P = {P}",
         f"k = {k}, n = {n}, c = {dec.c}",
@@ -262,8 +272,7 @@ def _cmd_parse(args) -> _Result:
 
 def _cmd_porb(args) -> _Result:
     q = OrbifoldType(args.r, _weights(args.a))  # --a "": 1/1()
-    n = args.n if args.n is not None else q.n
-    part = p_orb(q, args.k, n) if q.is_isolated else p_orb_general(q, args.k, n)
+    part = p_orb(q, args.k, args.n)
     payload = {
         "type": q.label(),
         "k": args.k,
@@ -348,7 +357,7 @@ def _cmd_transverse(args) -> _Result:
     series_fn = k3_series if args.command == "k3" else fano3_series
     series, degree, dec = series_fn(args.genus, pairs)
     payload = {"genus": args.genus, key: str(degree), "fn": fn_to_json(series),
-               **_decomposition_payload(dec, series)}
+               **_decomposition_payload(dec)}
     lines = [f"P = {series}", f"{label} = {degree}", f"initial = {dec.initial}",
              *_porb_lines(dec.orbifold_parts, k)]
     return _Result(payload, lines, series)
@@ -405,15 +414,8 @@ def _cmd_cy3(args) -> _Result:
         if (args.dc2 is None) != (args.d3 is None):
             raise InputError("--dc2 and --d3 must be given together (or both omitted)")
         if args.dc2 is not None:
-            parts = cy3_rr_parts(_fraction(args.dc2), _fraction(args.d3), points, curves)
-            # cy3_rr_parts checks nothing; cy3_rr_fit has checked the reassembly
-            mismatch = P - parts.total()
-            if not mismatch.is_zero:
-                raise MathCheckError(
-                    "Riemann-Roch parts do not sum to the Hilbert series",
-                    check="reassembly",
-                    residual=mismatch.simplify(),
-                )
+            parts = check_reassembly(P, cy3_rr_parts(_fraction(args.dc2), _fraction(args.d3),
+                                                     points, curves))
         else:
             parts = cy3_rr_fit(P, points, curves)
         payload = {
@@ -444,25 +446,23 @@ def _cmd_verify(args) -> _Result:
     P, k, n = _variety_series(args)
     basket = parse_basket(args.basket) if args.basket else ()
     irregularity = _poly(args.irregularity, "--irregularity") if args.irregularity else None
-    checks: list[dict[str, Any]] = []
-
-    ok_sym = is_gorenstein_symmetric(P, k, n)
-    checks.append({"name": "gorenstein_symmetry", "ok": ok_sym})
+    # one parse: its symmetry check (of P - J) is the first entry
+    checks: list[dict[str, Any]] = [{"name": "gorenstein_symmetry", "ok": True}]
     dec = None
-    if ok_sym:
-        try:
-            dec = parse_main(P, n, k, basket, irregularity)
-            checks.append({"name": "parse", "ok": True})
-        except MathCheckError as exc:
+    try:
+        dec = parse_main(P, n, k, basket, irregularity)
+        checks.append({"name": "parse", "ok": True})
+    except MathCheckError as exc:
+        if exc.check == "gorenstein_symmetry":
+            checks[0]["ok"] = False
+        else:
             checks.append({"name": "parse", "ok": False, "check": exc.check,
                            "detail": str(exc)})
     payload: dict[str, Any] = {"k": k, "n": n, "checks": checks}
-    lines = []
-    for ch in checks:
-        lines.append(f"{ch['name']}: {'ok' if ch['ok'] else 'FAILED'}"
-                     + (f" ({ch.get('detail')})" if not ch["ok"] and ch.get("detail") else ""))
+    lines = [f"{ch['name']}: {'ok' if ch['ok'] else 'FAILED'}"
+             + (f" ({ch['detail']})" if ch.get("detail") else "") for ch in checks]
     if dec is not None:
-        payload.update(_decomposition_payload(dec, P))
+        payload.update(_decomposition_payload(dec))
         lines.append(f"initial = {dec.initial}")
         lines.append(f"degree D^n = {payload['degree']}")
     failure = None

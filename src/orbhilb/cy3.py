@@ -19,7 +19,9 @@ a1+a2+a3 == 0 mod r:
   unique polynomial supported in [1, s-1] with
   (1-t^a)^2 (1-t^(s-a))^2 B == t^a - t^(s-a) mod (1-t^s)/(1-t).
   `cy3_rr_fit` recovers the scalar inputs from the series instead, by
-  exact linear solve on the low-degree coefficients.
+  exact linear solve on the low-degree coefficients.  `check_reassembly`
+  is the one test that parts sum to the series: `cy3_rr_fit` applies it
+  to its fit, and a caller with explicit scalars applies it to the parts.
 
 * `cy3_ice_parts` produces the integral Gorenstein-symmetric splitting
   P = P_I + sum P_orb(Q, 0) + sum A_C + sum B_C, where A_C is
@@ -41,7 +43,7 @@ from math import gcd
 from typing import Sequence
 
 from .dedekind import OrbifoldType, delta, sigma
-from .exactpoly import LaurentPoly, RationalFn, fn_sum, times_binomials
+from .exactpoly import InputError, LaurentPoly, RationalFn, fn_sum, times_binomials
 from .hilbert import (
     Basket,
     DecompositionError,
@@ -59,6 +61,7 @@ __all__ = [
     "CurveIcePart",
     "cy3_rr_parts",
     "cy3_rr_fit",
+    "check_reassembly",
     "cy3_ice_parts",
     "iv_numerator",
 ]
@@ -81,7 +84,7 @@ class CurveStratum:
 
     def __post_init__(self):
         if self.s < 2:
-            raise ValueError("curve transverse period s must be >= 2")
+            raise InputError("curve transverse period s must be >= 2")
         a = self.a % self.s
         if a == 0 or gcd(a, self.s) != 1:
             raise ValueError(f"transverse type 1/{self.s}({self.a},..) must have gcd(a,s)=1")
@@ -149,7 +152,7 @@ def _check_points(points: Basket) -> tuple[tuple[OrbifoldType, int], ...]:
     entries = normalize_basket(points)
     for q, _ in entries:
         if q.n != 3:
-            raise ValueError(f"CY3 point {q} must have three weights")
+            raise InputError(f"CY3 point {q} must have three weights")
         if sum(q.a_list) % q.r != 0:
             raise ValueError(f"CY3 point {q} must satisfy a1+a2+a3 == 0 mod r")
     return entries
@@ -165,7 +168,8 @@ def cy3_rr_parts(
 
     The caller supplies D.c2, D^3, and per curve the degree and the part-IV
     prefactor; use `cy3_rr_fit` to recover the scalars from the series when
-    only the strata are known.
+    only the strata are known.  Nothing is checked against a series here;
+    `check_reassembly` does that.
     """
     entries = _check_points(points)
     part_ii = tuple(
@@ -218,19 +222,24 @@ def cy3_rr_fit(
         CurveStratum(c.s, c.a, c.dc, next(prefs) if fn.num else Fraction(0))
         for c, fn in zip(curves, ivs)
     ]
-    parts = CY3Parts(
+    return check_reassembly(P, CY3Parts(
         part_i=_part_i(dc2, d3),
         part_ii=unit.part_ii,
         part_iii=tuple((c, fn) for c, (_, fn) in zip(fitted, unit.part_iii)),
         part_iv=tuple((c, fn * c.iv_prefactor) for c, fn in zip(fitted, ivs)),
         dc2=dc2,
         d3=d3,
-    )
+    ))
+
+
+def check_reassembly(P: RationalFn, parts: CY3Parts) -> CY3Parts:
+    """Return `parts` if they sum to P exactly, else raise DecompositionError
+    (check "reassembly") with the difference as residual."""
     mismatch = P - parts.total()
     if not mismatch.is_zero:
         raise DecompositionError(
-            "cy3_rr_fit: fitted parts do not reassemble the series; the strata "
-            "data are wrong",
+            "Riemann-Roch parts do not reassemble the series; the strata data or "
+            "the scalars are wrong",
             check="reassembly",
             residual=mismatch.simplify(),
         )

@@ -43,7 +43,7 @@ from .exactpoly import (
     is_palindromic,
     times_binomials,
 )
-from .icecream import OrbifoldPart, p_orb, p_orb_general
+from .icecream import OrbifoldPart, p_orb
 
 __all__ = [
     "DecompositionError",
@@ -141,7 +141,8 @@ def parse_main(
 ) -> Decomposition:
     """Split P into initial part plus ice cream, verifying every claim.
 
-    Basket points on curve strata take the generalized ice cream form.
+    Every basket point, isolated or on a curve stratum, takes its part
+    from `p_orb`, which checks the weight congruence first.
     `columns` are the parts of positive-dimensional strata, vanishing
     through t^floor(c/2); their coefficients are solved exactly once the
     initial part is read off the plurigenera.  Raises DecompositionError
@@ -165,10 +166,7 @@ def parse_main(
             residual=working,
         )
     entries = normalize_basket(basket)
-    parts = tuple(
-        (p_orb(q, k, n) if q.is_isolated else p_orb_general(q, k, n), mult)
-        for q, mult in entries
-    )
+    parts = tuple((p_orb(q, k, n), mult) for q, mult in entries)
     residual = fn_sum((working, *(part.fn * -mult for part, mult in parts)))
     c = k + n + 1
     strata: tuple[tuple[RationalFn, Fraction], ...] = ()
@@ -399,8 +397,11 @@ def _transverse_series(
 
     D^n = 2g - 2 + sum b(r-b)/r (b the inverse of a mod r).  Returns P,
     D^n and the ice cream parse, whose initial numerator must be the genus
-    formula 1 + (g-2)(t + t^2) + t^3 (else the named check fails).
+    formula 1 + (g-2)(t + t^2) + t^3 (else the named check fails).  The
+    genus must be at least 1 - n, as h^0 = g + n - 1 counts sections.
     """
+    if g < 1 - n:
+        raise InputError(f"genus must be >= {1 - n}")
     for r, a in basket:
         if r < 2 or not 0 < a % r or gcd(a, r) != 1:
             raise ValueError(f"basket entry ({r},{a}) must have 0 < a and gcd(a,r) = 1")
@@ -431,8 +432,6 @@ def k3_series(
     """Hilbert series of a polarized K3 surface (n = 2, k = 0) with basket
     of (r, a) points of type (1/r)(a, r-a): returns P, D^2 and the verified
     ice cream parse (see `_transverse_series`)."""
-    if g < -1:
-        raise ValueError("genus must be >= -1")
     return _transverse_series(g, basket, 2, "k3_initial")
 
 

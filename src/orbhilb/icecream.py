@@ -14,7 +14,9 @@ For points on curve strata (some gcd(a_i, r) = s_i > 1, the s_i pairwise
 coprime) the generalized form divides each factor by 1 - t^(s_i) instead
 of 1 - t and puts 1 - t^(s_i) factors into the denominator; the support
 window is centred so that the numerator is palindromic of degree
-k + r + sum(s_i).
+k + r + sum(s_i).  `p_orb` is the entry for every type: it checks the
+weight congruence k + sum(a_i) == 0 mod r, without which no part is
+Gorenstein symmetric of weight k, and `p_orb_general` builds the part.
 
 The numerator is computed over the integers modulo 1 - t^r: the inverse
 of each factor (1-t^a)/(1-t^s) is a geometric sum in t^a, multiplied in
@@ -72,33 +74,29 @@ def _ceil_half(x: int) -> int:
 
 
 def p_orb(Q: OrbifoldType, k: int, n: int | None = None) -> OrbifoldPart:
-    """Ice cream function of an isolated orbifold point.
+    """Ice cream function of an orbifold point of any type.
 
-    Requires all a_i coprime to r and the weight congruence
-    k + sum(a_i) == 0 mod r; violating the congruence means the input is
-    not the basket of a projectively Gorenstein variety of weight k.
+    Checks the weight congruence k + sum(a_i) == 0 mod r, which holds
+    exactly when the part is integral and Gorenstein symmetric of weight k,
+    isolated or not; violating it means the input is not the basket of a
+    projectively Gorenstein variety of weight k.  The part itself is
+    `p_orb_general`'s; an isolated point's numerator must also lie in the
+    tighter support window below.
     """
-    if n is None:
-        n = Q.n
-    if Q.r == 1:
-        return _zero_part(Q, k, n)
-    if n != Q.n:
-        raise ValueError(f"dimension mismatch: n={n} but {Q} has {Q.n} weights")
-    if not Q.is_isolated:
-        raise ValueError(f"{Q} is not isolated; use p_orb_general")
     if (k + sum(Q.a_list)) % Q.r != 0:
         raise ValueError(
             f"weight congruence violated: k + sum(a) = {k + sum(Q.a_list)} "
             f"is not divisible by r = {Q.r}"
         )
     part = p_orb_general(Q, k, n)
-    # tighter support guarantee for the isolated case: the window loses its
-    # top point when the coindex is even
-    c = k + n + 1
+    B = part.numerator
+    if not Q.is_isolated or B.is_zero:
+        return part
+    # the window loses its top point when the coindex c = k + n + 1 is even
+    c = part.numerator_degree - Q.r + 1  # every s_i is 1
     gamma = c // 2 + 1
     hi = gamma + Q.r - 2 - (1 if c % 2 == 0 else 0)
-    B = part.numerator
-    if not B.is_zero and not (gamma <= B.valuation and B.degree <= hi):
+    if not (gamma <= B.valuation and B.degree <= hi):
         raise MathCheckError(
             f"numerator support of {Q} escapes [{gamma}, {hi}]",
             check="support",
@@ -156,7 +154,8 @@ def p_orb_general(Q: OrbifoldType, k: int, n: int | None = None) -> OrbifoldPart
 
 
 def porb_minus_dedekind(Q: OrbifoldType, k: int, n: int | None = None) -> RationalFn:
-    """Difference between the ice cream part and the periodic Dedekind term.
+    """Difference between the ice cream part of an isolated point and the
+    periodic Dedekind term.
 
     Returns C(t)/(1-t)^(n+1) where
 
@@ -166,13 +165,13 @@ def porb_minus_dedekind(Q: OrbifoldType, k: int, n: int | None = None) -> Ration
     the division being exact.  Failure of exactness would contradict the
     periodicity identity and signals an implementation bug.
     """
-    if n is None:
-        n = Q.n
-    if Q.r == 1:
-        return RationalFn(LaurentPoly(), (1,) * (n + 1))
+    if not Q.is_isolated:
+        raise ValueError(f"{Q} is not isolated; the Dedekind term needs coprime weights")
     part = p_orb(Q, k, n)
+    if Q.r == 1:
+        return part.fn  # zero over (1-t)^(n+1)
     sg = sigma(Q)
-    r = Q.r
+    r, n = Q.r, Q.n  # p_orb has checked n
     periodic = LaurentPoly({i: sg[r - i] - sg[0] for i in range(1, r)})
     # dividing by (1-t^r)/(1-t) is a product with 1-t and a quotient by 1-t^r
     C = times_binomials(part.numerator - times_binomials(periodic, (1,) * n), (1,), (r,))

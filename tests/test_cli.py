@@ -243,6 +243,19 @@ class TestCY3Command:
         assert out == ""
         assert json.loads(err)["check"] == "residual_denominator"
 
+    def test_rr_mode_explicit_scalars_checked(self, capsys):
+        # D^3 = 1/300 reassembles X40; 1/301 leaves a residual
+        argv = ["cy3", "--weights", "2,5,8,10,15", "--degrees", "40",
+                "--points", "1/15(2,5,8)", "--curves", "2,1,1/2;5,2,4/15,4/5",
+                "--mode", "rr", "--dc2", "4", "--d3"]
+        assert run(argv + ["1/300"]) == 0
+        capsys.readouterr()
+        assert run(argv + ["1/301"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        diag = json.loads(err)
+        assert (diag["type"], diag["check"]) == ("DecompositionError", "reassembly")
+
     def test_rr_mode_requires_both_scalars(self, capsys):
         code = run(
             ["cy3", "--weights", "2,5,8,10,15", "--degrees", "40",
@@ -263,6 +276,17 @@ class TestVerifyCommand:
         code, payload = run_json(capsys, self.ARGS)
         assert code == 0
         assert all(c["ok"] for c in payload["checks"])
+
+    def test_irregularity_checked_on_p_minus_j(self, capsys):
+        # X10's series plus J = 1: P - J is Gorenstein symmetric, P is not
+        code, payload = run_json(capsys, [
+            "verify", *X10_ARGS, "--k", "1", "--numerator",
+            "2-2t-t^2+3t^3+t^4-t^5-3t^6+t^7+2t^8-t^9-t^10",
+            "--basket", "1/3(1,2,2);5x1/2(1,1,1)", "--irregularity", "1",
+        ])
+        assert code == 0
+        assert payload["checks"] == [{"name": "gorenstein_symmetry", "ok": True},
+                                     {"name": "parse", "ok": True}]
 
     def test_wrong_weight_fails(self, capsys):
         args = list(self.ARGS)
@@ -325,6 +349,13 @@ BOUND_EDGES = {
                      MAX_WEIGHTS, 0),
     "invmod_weights": (lambda m: ["invmod", "--r", "7", "--a", ",".join(["1"] * m)],
                        MAX_WEIGHTS, 0),
+    "hilbert_weights": (lambda m: ["hilbert", "--weights", f"1,1,{m - 2}"], MAX_SPAN, 0),
+    "hilbert_degrees": (lambda m: ["hilbert", "--weights", "1,1,1", "--degrees", str(m)],
+                        MAX_SPAN, 0),
+    "parse_degrees": (lambda m: ["parse", "--weights", "1,1,1,1", "--degrees", str(m)],
+                      MAX_SPAN, 0),
+    # P(1,1,1,m-3) has a 1/(m-3) point: a check fails, the input is accepted
+    "verify_weights": (lambda m: ["verify", "--weights", f"1,1,1,{m - 3}"], MAX_SPAN, 1),
     "numerator_span": (lambda m: ["parse", "--weights", "1,1,1", "--numerator", f"1+t^{m}",
                                   "--k", str(m - 3)], MAX_SPAN, 0),
     # t^-m breaks the symmetry of P - J: a check fails, the input is accepted
@@ -477,3 +508,26 @@ class TestMalformedInputExit2:
     def test_broken_weight_congruence_exit_1(self, capsys):
         assert run(["porb", "--r", "7", "--a", "5", "--k", "1"]) == 1
         assert "congruence" in json.loads(capsys.readouterr().err)["error"]
+        # on the 1/5 and 1/3 curve strata the same check applies
+        assert run(["porb", "--r", "15", "--a", "2,5,9", "--k", "0"]) == 1
+        assert "weight congruence violated" in json.loads(capsys.readouterr().err)["error"]
+
+    @pytest.mark.parametrize("argv", [
+        ["k3", "--genus", "-2"],
+        ["k3", "--genus", "-5"],
+        ["fano3", "--genus", "-3"],
+        X40[:-1] + ["1/15(2,5)"],
+        X40 + ["--curves", "1,1"],
+        X40 + ["--curves", "0,1,1/2", "--mode", "rr"],
+    ], ids=["k3_genus", "k3_genus_far", "fano3_genus", "cy3_point_shape", "cy3_curve_s1",
+            "cy3_curve_s0_rr"])
+    def test_genus_and_shape_out_of_range(self, capsys, argv):
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err)["type"] == "InputError"
+
+    def test_lowest_genus_accepted(self, capsys):
+        # h^0 = g + n - 1 is 0 at the lowest genus
+        assert run(["k3", "--genus", "-1"]) == 0
+        assert run(["fano3", "--genus", "-2"]) == 0

@@ -47,12 +47,17 @@ class TestPOrbExamples:
         assert part.fn.is_zero
 
     def test_weight_congruence_enforced(self):
-        with pytest.raises(ValueError):
-            p_orb(OrbifoldType(7, (5,)), 1)
+        # isolated, and on the 1/5 and 1/3 curve strata
+        for q, k in [(OrbifoldType(7, (5,)), 1), (OrbifoldType(15, (2, 5, 9)), 0)]:
+            with pytest.raises(ValueError, match="weight congruence violated"):
+                p_orb(q, k)
 
-    def test_noncoprime_redirected(self):
-        with pytest.raises(ValueError):
-            p_orb(OrbifoldType(15, (2, 5, 8)), 0)
+    def test_noncoprime_takes_general_form(self):
+        # the dissident point of X40, on its 1/5 curve stratum
+        q = OrbifoldType(15, (2, 5, 8))
+        part, general = p_orb(q, 0), p_orb_general(q, 0)
+        assert part.fn == general.fn
+        assert part.numerator_degree == general.numerator_degree == 22
 
 
 class TestPOrbGeneral:
@@ -91,6 +96,11 @@ class TestPorbMinusDedekind:
 
     def test_trivial(self):
         assert porb_minus_dedekind(OrbifoldType(1, ()), 0, n=2).is_zero
+
+    def test_isolated_only(self):
+        # p_orb takes the type; the Dedekind term has no curve-stratum form
+        with pytest.raises(ValueError, match="not isolated"):
+            porb_minus_dedekind(OrbifoldType(15, (2, 5, 8)), 0)
 
     def test_difference_identity(self):
         # p_orb - C/(1-t)^(n+1) equals the periodic Dedekind term exactly
