@@ -15,9 +15,10 @@ fano3), a cy3 point without three weights or a curve with s < 2, a period
 above MAX_PERIOD (--r, --period, a basket or point type's r, a curve's s),
 --series above MAX_SERIES, a basket or point list of more than MAX_POINTS
 entries (for k3 and fano3, points with multiplicities counted), more than
-MAX_WEIGHTS weights in --a, a polynomial flag whose exponents span more
-than MAX_SPAN or --weights or --degrees summing to more than MAX_SPAN, or
-an unparseable basket, curve, polynomial or batch file.
+MAX_CURVES curves, more than MAX_WEIGHTS weights in --a, a polynomial flag
+whose exponents span more than MAX_SPAN or --weights or --degrees summing
+to more than MAX_SPAN, or an unparseable basket, curve, polynomial or batch
+file.
 
 JSON wire format: a Laurent polynomial is a map {"exponent": "num/den"};
 a rational function is {"num": <poly>, "den": [a1, a2, ...]} with the
@@ -63,13 +64,15 @@ _BASKET_ENTRY_RE = re.compile(r"^\s*(?:(\d+)\s*[xX*]\s*)?(1\s*/\s*\d+\s*\([^)]*\
 # Input bounds, checked before any work: the largest period (--r, --period,
 # the r of every basket or point type, the s of every curve), the largest
 # --series N, the most entries of a basket or point list (for k3 and fano3,
-# the most points, multiplicities counted), the most weights in --a, and the
-# widest exponent span, from t^0, of --numerator, --irregularity, --a-poly
-# and --f-poly (and the sums of --weights and of --degrees).  Near each
-# bound the slowest command takes about 1 s.
+# the most points, multiplicities counted), the most cy3 curves, the most
+# weights in --a, and the widest exponent span, from t^0, of --numerator,
+# --irregularity, --a-poly and --f-poly (and the sums of --weights and of
+# --degrees).  Near each bound the slowest command takes about 1 s; near
+# MAX_CURVES, with every s near MAX_PERIOD and MAX_POINTS points, about 2 s.
 MAX_PERIOD = 100
 MAX_SERIES = 100_000
 MAX_POINTS = 40
+MAX_CURVES = 5
 MAX_WEIGHTS = 4
 MAX_SPAN = 30_000
 
@@ -379,6 +382,7 @@ def _parse_curves(text: str, with_data: bool) -> list[CurveStratum]:
         _at_most(s, MAX_PERIOD, f"s of curve {chunk.strip()!r}")
         # rr mode: DC and the optional prefactor (the stratum defaults both to 0)
         out.append(CurveStratum(s, a, *(_fraction(f) for f in fields[2:])))
+    _at_most(len(out), MAX_CURVES, "number of curves")
     return out
 
 

@@ -26,17 +26,20 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, prod
 from typing import Iterable, Sequence
 
 from .dedekind import OrbifoldType, sigma_surface_closed
 from .exactpoly import (
+    DenomSpec,
     ExactDivisionError,
     InputError,
     LaurentPoly,
     MathCheckError,
     RationalFn,
     SeriesWindow,
+    _binomial_pass,
+    _to_ints,
     expand,
     fn_sum,
     is_gorenstein_symmetric,
@@ -222,45 +225,86 @@ def _solve_exact(
     columns: Sequence[RationalFn], target: RationalFn, what: str
 ) -> list[Fraction]:
     """Solve sum x_j columns[j] == target exactly over one common denominator;
-    unique solution required."""
-    den = target.den.lcm(*[fn.den for fn in columns])
-    nums = [fn.over(den) for fn in columns]
-    rhs = target.over(den)
-    exps: set[int] = set(rhs._terms)
-    for c in nums:
-        exps |= set(c._terms)
-    rows = [[c.coeff(e) for c in nums] + [rhs.coeff(e)] for e in sorted(exps)]
+    unique solution required.
+
+    The common denominator is the lcm of the columns' denominators alone, and
+    the target is divided exactly into it: a remainder means the target has a
+    pole no column has, so no solution exists, and multiplying every side by
+    the target's extra factors instead would only add rows.  Each numerator
+    over it is an integer vector with its own scale, so the scaled unknowns
+    y_j = x_j d_b / d_j solve integer rows, one per exponent.  The echelon is
+    built a row at a time without fractions (row <- p row - c basis_row,
+    divided by the gcd of its entries) and stops at full rank; a rank below
+    the number of unknowns is exact, as every row has then been scanned.
+    One integer pass checks the solution against every row.
+    """
+    den = DenomSpec().lcm(*[fn.den for fn in columns])
+    vecs = []  # (x, v, d): a numerator over den is sum x[i]/d t^(v+i)
+    for fn in columns:
+        x, v, d = _to_ints(fn.num)
+        vecs.append((_binomial_pass(x, den.sub(fn.den)) if x else x, v, d))
+    rhs, v, d_b = _to_ints(target.num)
+    whole = den.lcm(target.den)
+    solvable = True
+    try:
+        rhs = _binomial_pass(rhs, whole.sub(target.den), whole.sub(den)) if rhs else rhs
+    except ExactDivisionError:  # the target has a pole that no column has
+        rhs, solvable = [], False
+    vecs.append((rhs, v, d_b))
+    low = min((v for x, v, _ in vecs if x), default=0)
+    high = max((v + len(x) for x, v, _ in vecs if x), default=0)
+    cols = [[0] * (v - low) + x + [0] * (high - v - len(x)) if x else [0] * (high - low)
+            for x, v, _ in vecs]
     ncols = len(columns)
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][col]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    if r < ncols:
+    basis: dict[int, list[int]] = {}  # pivot column -> row, zero left of it
+    for row in zip(*cols):
+        if len(basis) == ncols:
+            break
+        row = list(row)
+        for col in range(ncols):
+            c = row[col]
+            if not c:
+                continue
+            b = basis.get(col)
+            if b is None:
+                g = gcd(*row)
+                basis[col] = [e // g for e in row] if g > 1 else row
+                break
+            p = b[col]
+            row[col:] = [p * e - c * f for e, f in zip(row[col:], b[col:])]
+            g = gcd(*row)
+            if g > 1:
+                row = [e // g for e in row]
+    if len(basis) < ncols:
         raise DecompositionError(
-            f"{what}: linear system is underdetermined (rank {r} < {ncols} unknowns)",
+            f"{what}: linear system is underdetermined (rank {len(basis)} < {ncols} unknowns)",
             check="linear_solve",
         )
-    if any(all(x == 0 for x in row[:ncols]) and row[ncols] != 0 for row in rows):
+    # back substitution: y_j = num[j] / scale
+    num = [0] * ncols
+    scale = 1
+    for col in range(ncols - 1, -1, -1):
+        b = basis[col]
+        acc = b[ncols] * scale - sum(e * y for e, y in zip(b[col + 1 : ncols], num[col + 1 :]))
+        p = b[col]
+        num = [y * p for y in num]
+        num[col] = acc
+        scale *= p
+        g = gcd(scale, *num)
+        if g > 1:
+            num = [y // g for y in num]
+            scale //= g
+    lhs = [0] * (high - low)
+    for y, col in zip(num, cols):
+        if y:
+            lhs = [s + y * e for s, e in zip(lhs, col)]
+    if not solvable or lhs != [scale * e for e in cols[ncols]]:
         raise DecompositionError(
             f"{what}: linear system is inconsistent; the strata data do not "
             "match the series",
             check="linear_solve",
         )
-    sol = [Fraction(0)] * ncols
-    for i, col in enumerate(pivots):
-        sol[col] = rows[i][ncols]
-    return sol
+    return [Fraction(y * d_j, scale * d_b) for y, (_, _, d_j) in zip(num, vecs)]
 
 
 def initial_from_plurigenera(window: SeriesWindow, k: int, n: int) -> RationalFn:
@@ -451,13 +495,25 @@ def fano3_series(
 
 
 def degree_from_decomposition(dec: Decomposition) -> Fraction:
-    """Recover the degree D^n = A(1) + sum mult * B_Q(1)/r_Q.
+    """Recover the degree D^n from the leading growth of the plurigenera.
 
-    The orbifold numerators contribute to the leading growth of the
-    plurigenera; summing coefficients of the initial numerator alone gives
-    the wrong degree whenever the basket is nonempty.
+    A part N/prod(1-t^a) whose denominator has n+1 factors grows like
+    N(1)/prod(a) * m^n/n!; a part with fewer factors grows slower and adds
+    nothing.  So D^n = A(1) + sum mult * N_Q(1)/prod(factors of Q), where a
+    point on a curve stratum has the factors s_1..s_n and r, and an isolated
+    point r alone; the strata columns add their solved shares likewise.
+    Summing the coefficients of the initial numerator alone gives the wrong
+    degree whenever the basket is nonempty.
     """
-    total = dec.initial_numerator.at_one()
+
+    def share(fn: RationalFn) -> Fraction:
+        if len(fn.den) != dec.n + 1:
+            return Fraction(0)
+        return fn.num.at_one() / prod(fn.den)
+
+    total = share(dec.initial)
     for part, mult in dec.orbifold_parts:
-        total += mult * Fraction(part.numerator.at_one(), part.source.r)
+        total += mult * share(part.fn)
+    for col, x in dec.strata_parts:
+        total += x * share(col)
     return total

@@ -6,6 +6,7 @@ import pytest
 
 from orbhilb import LaurentPoly, RationalFn
 from orbhilb.cli import (
+    MAX_CURVES,
     MAX_PERIOD,
     MAX_POINTS,
     MAX_SERIES,
@@ -473,9 +474,14 @@ class TestMalformedInputExit2:
         (X40[:-1] + [f"1/{MAX_PERIOD + 1}(2,5,{MAX_PERIOD - 6})"], MAX_PERIOD),
         (X40 + ["--curves", f"2,1;{MAX_PERIOD + 1},2"], MAX_PERIOD),
         (X40 + ["--curves", f"{MAX_PERIOD + 1},2,1/2", "--mode", "rr"], MAX_PERIOD),
+        (X40 + ["--curves", ";".join(f"{MAX_PERIOD - i},1" for i in range(MAX_CURVES + 1))],
+         MAX_CURVES),
+        (X40 + ["--curves", ";".join(f"{MAX_PERIOD - i},1,1/2" for i in range(MAX_CURVES + 1)),
+                "--mode", "rr"], MAX_CURVES),
         (["hilbert", *X10, "--series", str(MAX_SERIES + 1)], MAX_SERIES),
     ], ids=["dedekind_r100000", "dedekind", "porb", "invmod", "invmod_period", "parse_basket",
-            "k3_basket", "fano3_points", "cy3_points", "cy3_curves", "cy3_curves_rr", "series"])
+            "k3_basket", "fano3_points", "cy3_points", "cy3_curves", "cy3_curves_rr",
+            "cy3_curve_count", "cy3_curve_count_rr", "series"])
     def test_above_input_bound(self, capsys, argv, limit):
         assert run(argv) == 2
         out, err = capsys.readouterr()

@@ -16,6 +16,7 @@ from orbhilb import (
     SeriesWindow,
     binom_decompose,
     binom_reassemble,
+    cy3_ice_parts,
     degree_from_decomposition,
     expand,
     fano3_series,
@@ -317,6 +318,25 @@ class TestDegree:
         P, k, n = hilbert_ci((5, 7))
         dec = parse_main(P, n, k, [(OrbifoldType(7, (5,)), 1), (OrbifoldType(5, (2,)), 1)])
         assert degree_from_decomposition(dec) == F(1, 35)
+
+    def test_point_on_curve_stratum(self):
+        # 1/15(2,5,8) lies on the 1/5 curve stratum: its part has the four
+        # factors (1-t)^2 (1-t^5)(1-t^15), so its numerator adds N(1)/75
+        q = OrbifoldType(15, (2, 5, 8))
+        part = p_orb(q, 0, 3)
+        assert part.numerator.at_one() == 1
+        P = RationalFn(LP({i: 1 for i in range(5)}), (1, 1, 1, 1)) + part.fn
+        dec = parse_main(P, 3, 0, [(q, 1)])
+        assert degree_from_decomposition(dec) == F(376, 75)
+
+    def test_x40_with_curve_strata(self):
+        # D^3 = 40/(2*5*8*10*15) = 1/300, the curve parts counted as strata
+        P, k, n = hilbert_ci((2, 5, 8, 10, 15), (40,))
+        ice = cy3_ice_parts(P, [(OrbifoldType(15, (2, 5, 8)), 1)], [(2, 1), (5, 2)])
+        strata = tuple((fn, F(1)) for cp in ice.curve_parts for fn in (cp.a_part, cp.b_part))
+        dec = Decomposition(initial=ice.initial, orbifold_parts=ice.point_parts,
+                            k=k, n=n, c=k + n + 1, strata_parts=strata)
+        assert degree_from_decomposition(dec) == F(1, 300)
 
     def test_zero_decomposition(self):
         dec = Decomposition(
